@@ -23,6 +23,7 @@ another overlay — the cross-layer access pattern of §5.2.3::
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Any, Iterator
 
 from repro.exceptions import NodeNotFoundError
@@ -87,15 +88,28 @@ class NodeAccessor:
         return self.overlay.edges(node=self, **filters)
 
     def neighbors(self, **filters: Any) -> list:
-        """Neighbouring nodes, optionally attribute-filtered."""
-        seen = []
-        for edge in self.edges():
-            other = edge.dst if edge.src_id == self.node_id else edge.src
-            if other.node_id == self.node_id:
-                continue
-            if all(other.get(key) == value for key, value in filters.items()):
-                seen.append(other)
-        return seen
+        """Neighbouring nodes, optionally attribute-filtered.
+
+        Walks the adjacency directly, in the order of :meth:`edges`
+        (successors then predecessors on a directed overlay); no edge
+        accessor is built.
+        """
+        overlay = self.overlay
+        graph = overlay._graph
+        node_id = self.node_id
+        if node_id not in graph:
+            raise NodeNotFoundError(node_id, overlay.overlay_id)
+        if graph.is_directed():
+            others = itertools.chain(graph.successors(node_id), graph.predecessors(node_id))
+        else:
+            others = graph.neighbors(node_id)
+        data = graph.nodes
+        return [
+            NodeAccessor(overlay, other)
+            for other in others
+            if other != node_id
+            and all(data[other].get(key) == value for key, value in filters.items())
+        ]
 
     @property
     def degree(self) -> int:

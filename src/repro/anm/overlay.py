@@ -11,6 +11,7 @@ infrastructure address blocks.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable, Iterator
 
 import networkx as nx
@@ -253,18 +254,18 @@ class OverlayGraph:
 
         For directed overlays with ``node`` given, both in- and out-edges
         are returned (a router's BGP sessions regardless of direction).
+        With ``node`` the cost is that node's degree, not the overlay's size.
         """
         graph = self._graph
-        if node is not None:
+        if node is None:
+            raw = graph.edges(data=True)
+        elif graph.is_directed():
             node_id = _node_id(node)
-            if graph.is_directed():
-                raw = list(graph.out_edges(node_id, data=True)) + list(
-                    graph.in_edges(node_id, data=True)
-                )
-            else:
-                raw = list(graph.edges(node_id, data=True))
+            raw = itertools.chain(
+                graph.out_edges(node_id, data=True), graph.in_edges(node_id, data=True)
+            )
         else:
-            raw = list(graph.edges(data=True))
+            raw = graph.edges(_node_id(node), data=True)
         return [
             EdgeAccessor(self, src, dst)
             for src, dst, data in raw

@@ -238,7 +238,7 @@ class RouterCompiler(DeviceCompiler):
         if not dns_node.dns_server:
             return
         members = [dns_node] + [
-            edge.dst for edge in g_dns.edges(type="dns_client") if edge.src == dns_node
+            edge.dst for edge in dns_node.edges(type="dns_client") if edge.src == dns_node
         ]
         records = []
         for member in sorted(members, key=lambda n: str(n.node_id)):
@@ -263,11 +263,7 @@ class RouterCompiler(DeviceCompiler):
         if g_rpki is None or not g_rpki.has_node(phy_node):
             return
         rpki_node = g_rpki.node(phy_node)
-        caches = [
-            str(edge.dst.node_id)
-            for edge in g_rpki.edges(type="rtr_feed")
-            if edge.src == rpki_node
-        ]
+        caches = _far_ends(rpki_node, "rtr_feed")
         if caches:
             device.rpki = {"role": "rtr_client", "cache": caches[0]}
 
@@ -313,16 +309,8 @@ class ServerCompiler(DeviceCompiler):
         rpki_node = g_rpki.node(phy_node)
         service = rpki_node.service
         if service == "rpki_ca":
-            publishes_to = [
-                str(edge.dst.node_id)
-                for edge in g_rpki.edges(type="publishes_to")
-                if edge.src == rpki_node
-            ]
-            parent = [
-                str(edge.dst.node_id)
-                for edge in g_rpki.edges(type="ca_parent")
-                if edge.src == rpki_node
-            ]
+            publishes_to = _far_ends(rpki_node, "publishes_to")
+            parent = _far_ends(rpki_node, "ca_parent")
             device.rpki = {
                 "role": "ca",
                 "is_root": bool(rpki_node.ca_root),
@@ -332,28 +320,27 @@ class ServerCompiler(DeviceCompiler):
                 "publication_point": publishes_to[0] if publishes_to else None,
             }
         elif service == "rpki_publication":
-            publishers = [
-                str(edge.src.node_id)
-                for edge in g_rpki.edges(type="publishes_to")
-                if edge.dst == rpki_node
-            ]
+            publishers = _far_ends(rpki_node, "publishes_to", incoming=True)
             device.rpki = {"role": "publication", "publishers": sorted(publishers)}
         elif service == "rpki_cache":
-            fetches = [
-                str(edge.dst.node_id)
-                for edge in g_rpki.edges(type="fetches_from")
-                if edge.src == rpki_node
-            ]
-            clients = [
-                str(edge.src.node_id)
-                for edge in g_rpki.edges(type="rtr_feed")
-                if edge.dst == rpki_node
-            ]
+            fetches = _far_ends(rpki_node, "fetches_from")
+            clients = _far_ends(rpki_node, "rtr_feed", incoming=True)
             device.rpki = {
                 "role": "cache",
                 "fetches_from": fetches[0] if fetches else None,
                 "rtr_clients": sorted(clients),
             }
+
+
+def _far_ends(node, edge_type: str, incoming: bool = False) -> list[str]:
+    """Ids across ``node``'s own ``edge_type`` edges: heads of its
+    out-edges, or tails of its in-edges with ``incoming``."""
+    node_id = node.node_id
+    if incoming:
+        return [
+            str(edge.src_id) for edge in node.edges(type=edge_type) if edge.dst_id == node_id
+        ]
+    return [str(edge.dst_id) for edge in node.edges(type=edge_type) if edge.src_id == node_id]
 
 
 def _reverse_name(ip: str) -> str:

@@ -21,7 +21,7 @@ from typing import Iterator
 from repro.anm import AbstractNetworkModel
 from repro.compilers.base import DeviceCompiler, RouterCompiler, ServerCompiler
 from repro.design.ip_addressing import domain_between, interface_address
-from repro.exceptions import CompilerError
+from repro.exceptions import CompilerError, NodeNotFoundError
 from repro.nidb import DeviceModel, Nidb
 from repro.observability import metric_inc, span
 
@@ -181,19 +181,24 @@ class PlatformCompiler:
                 loopback.ipv6_prefixlen = 128
                 loopback.ipv6_subnet = "%s/128" % device.loopback_v6
         g_ospf = self.anm["ospf"] if self.anm.has_overlay("ospf") else None
-        edges = sorted(
-            g_phy.node(phy_node).edges(),
-            key=lambda edge: str(edge.other_end(phy_node).node_id),
+        node_id = phy_node.node_id
+        neighbors = sorted(
+            g_phy.node(phy_node).neighbors(), key=lambda neighbor: str(neighbor.node_id)
         )
-        for edge in edges:
-            neighbor = edge.other_end(phy_node)
-            domain = domain_between(g_ip, phy_node.node_id, neighbor.node_id)
+        for neighbor in neighbors:
+            domain = domain_between(g_ip, node_id, neighbor.node_id)
             if domain is None:
                 continue
             try:
-                address, prefixlen = interface_address(g_ip, phy_node.node_id, domain)
-            except Exception:
+                address, prefixlen = interface_address(g_ip, node_id, domain)
+            except NodeNotFoundError:
+                # the domain comes from the switch map: this device is not on it
                 continue
+            if address is None:
+                raise CompilerError(
+                    "%s has no %s address on collision domain %s"
+                    % (node_id, g_ip.overlay_id, domain.node_id)
+                )
             ospf_cost, area = self._igp_parameters(g_ospf, phy_node, neighbor)
             interface = device.add_interface(
                 id=next(names),
@@ -229,8 +234,7 @@ class PlatformCompiler:
 
     def _add_links(self, machines, g_phy, g_ip) -> None:
         for phy_node in machines:
-            for edge in g_phy.node(phy_node).edges():
-                neighbor = edge.other_end(phy_node)
+            for neighbor in g_phy.node(phy_node).neighbors():
                 if str(neighbor.node_id) <= str(phy_node.node_id):
                     continue
                 if not self.nidb.has_node(neighbor):

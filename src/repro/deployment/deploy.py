@@ -57,7 +57,8 @@ def archive_lab(source_dir: str, lab_name: str, archive_dir: str | None = None) 
         raise DeploymentError("rendered lab directory %s does not exist" % source_dir)
     archive_dir = archive_dir or tempfile.mkdtemp(prefix="lab_archive_")
     archive_path = os.path.join(archive_dir, "%s.tar.gz" % lab_name)
-    with tarfile.open(archive_path, "w:gz") as archive:
+    # gzip's own default level, what ``tar czf`` uses; tarfile defaults to 9
+    with tarfile.open(archive_path, "w:gz", compresslevel=6) as archive:
         for entry in sorted(os.listdir(source_dir)):
             archive.add(os.path.join(source_dir, entry), arcname=entry)
     return archive_path

@@ -42,12 +42,15 @@ def build_ibgp_full_mesh(anm: AbstractNetworkModel) -> OverlayGraph:
     g_phy = anm["phy"]
     routers = g_phy.routers()
     g_ibgp = anm.add_overlay("ibgp", routers, retain=IBGP_RETAIN, directed=True)
+    # Eq. 2 only pairs routers of one AS: group once, then scan each
+    # router's own group.  Edge order is that of the N x N comprehension.
+    groups = groupby("asn", routers)
     g_ibgp.add_edges_from(
         (
             (src, dst)
             for src in routers
-            for dst in routers
-            if src.asn == dst.asn and str(src.node_id) < str(dst.node_id)
+            for dst in groups[src.asn]
+            if str(src.node_id) < str(dst.node_id)
         ),
         bidirected=True,
         session_type="peer",

@@ -184,6 +184,11 @@ def domain_between(g_ip: OverlayGraph, device, neighbor):
     when ``neighbor`` is a switch it is the aggregated switch domain.
     Returns ``None`` when the link did not survive into the addressing
     overlay (for example a link between two unaddressed device types).
+
+    Costs O(smaller of the two degrees): the lower-degree endpoint's
+    adjacency is walked once and each collision domain on it is tested
+    with one ``has_edge``, so the spokes of a star find their domain in
+    O(1) from either end.  ``g_ip`` is an (undirected) addressing overlay.
     """
     device_id = getattr(device, "node_id", device)
     neighbor_id = getattr(neighbor, "node_id", neighbor)
@@ -192,11 +197,23 @@ def domain_between(g_ip: OverlayGraph, device, neighbor):
         return g_ip.node(switch_map[neighbor_id])
     if device_id in switch_map:
         return g_ip.node(switch_map[device_id])
-    if not g_ip.has_node(device_id):
+    graph = unwrap_graph(g_ip)
+    if device_id not in graph or neighbor_id not in graph:
         return None
-    for candidate in g_ip.node(device_id).neighbors():
-        if not candidate.collision_domain:
-            continue
-        if any(other.node_id == neighbor_id for other in candidate.neighbors()):
-            return candidate
-    return None
+    walked, other = device_id, neighbor_id
+    if graph.degree(neighbor_id) < graph.degree(device_id):
+        walked, other = neighbor_id, device_id
+    node_data = graph.nodes
+    shared = [
+        domain_id
+        for domain_id in graph.neighbors(walked)
+        if domain_id != walked
+        and domain_id != other
+        and node_data[domain_id].get("collision_domain")
+        and graph.has_edge(domain_id, other)
+    ]
+    if len(shared) > 1 and walked != device_id:
+        # Several domains join the pair (a direct link beside a shared
+        # switch): the device's own edge order picks, as it always has.
+        shared = [domain_id for domain_id in graph.neighbors(device_id) if domain_id in shared]
+    return g_ip.node(shared[0]) if shared else None

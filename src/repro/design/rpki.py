@@ -71,7 +71,7 @@ def _assign_ca_resources(g_rpki: OverlayGraph, root_space: str) -> None:
         return sorted(
             (
                 edge.src
-                for edge in g_rpki.edges(type="ca_parent")
+                for edge in parent.edges(type="ca_parent")
                 if edge.dst == parent
             ),
             key=lambda node: str(node.node_id),
@@ -101,7 +101,9 @@ def _assign_ca_resources(g_rpki: OverlayGraph, root_space: str) -> None:
 
 def publication_point_of(g_rpki: OverlayGraph, ca_node):
     """The publication point a CA publishes to, or ``None``."""
-    for edge in g_rpki.edges(type="publishes_to"):
+    if not g_rpki.has_node(ca_node):
+        return None
+    for edge in g_rpki.node(ca_node).edges(type="publishes_to"):
         if edge.src == ca_node:
             return edge.dst
     return None

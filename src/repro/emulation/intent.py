@@ -15,6 +15,13 @@ import ipaddress
 from typing import Optional
 
 
+def _as_address(address):
+    """``address`` as an address object; only other types are parsed."""
+    if isinstance(address, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
+        return address
+    return ipaddress.ip_address(str(address))
+
+
 @dataclass
 class InterfaceIntent:
     """One configured interface: name, address, and attached segment."""
@@ -168,8 +175,11 @@ class DeviceIntent:
         ]
 
     def owns_address(self, address) -> bool:
-        address = ipaddress.ip_address(str(address))
-        return address in self.addresses()
+        address = _as_address(address)
+        return any(
+            interface.ip_address == address and not interface.is_management
+            for interface in self.interfaces
+        )
 
 
 @dataclass
@@ -181,7 +191,7 @@ class LabIntent:
     description: str = ""
 
     def device_owning(self, address) -> Optional[DeviceIntent]:
-        address = ipaddress.ip_address(str(address))
+        address = _as_address(address)
         for device in self.devices.values():
             if device.owns_address(address):
                 return device

@@ -39,9 +39,9 @@ class ConfigStanza:
     """A nested attribute namespace backed by a plain dict."""
 
     def __init__(self, **attrs: Any):
-        object.__setattr__(self, "_data", {})
-        for name, value in attrs.items():
-            setattr(self, name, value)
+        object.__setattr__(
+            self, "_data", {name: _stanzify(value) for name, value in attrs.items()}
+        )
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("__"):
@@ -82,11 +82,18 @@ class ConfigStanza:
         return "ConfigStanza(%s)" % ", ".join(sorted(self._data))
 
 
+#: Leaf types stored as they are; almost every compiled value is one.
+_SCALARS = frozenset({str, int, bool, float, type(None)})
+
+
 def _stanzify(value: Any) -> Any:
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, dict):
         stanza = ConfigStanza()
+        data = stanza._data
         for name, inner in value.items():
-            setattr(stanza, name, inner)
+            data[name] = _stanzify(inner)
         return stanza
     if isinstance(value, (list, tuple)):
         return [_stanzify(item) for item in value]

@@ -51,11 +51,14 @@ def test_run_survives_a_failed_trial(spec_file, campaign_dir, capsys):
     assert sorted(record.status for record in records) == ["failed", "ok", "ok", "ok"]
 
 
-def test_run_with_profile_captures_per_trial_profiles(spec_file, campaign_dir):
+def test_run_with_profile_captures_per_trial_profiles(spec_file, campaign_dir, tmp_path):
     import os
 
+    # an explicit prefix: bare --profile writes profile.collapsed into the cwd
+    prefix = str(tmp_path / "profile")
     assert main(["campaign", "run", spec_file, "-o", campaign_dir,
-                 "--profile", "--quiet"]) == 0
+                 "--profile", prefix, "--quiet"]) == 0
+    assert os.path.exists(prefix + ".collapsed")
     store = ResultStore(campaign_dir)
     ok_records = [record for record in store.records() if record.ok]
     assert ok_records

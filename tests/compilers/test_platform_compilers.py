@@ -38,6 +38,29 @@ def test_compile_requires_ipv4_overlay():
         NetkitCompiler(anm).compile()
 
 
+def test_corrupted_ipv4_edge_raises_instead_of_dropping_the_interface():
+    from repro.anm import unwrap_graph
+
+    anm = design_network(fig5_topology())
+    g_ip = anm["ipv4"]
+    (domain,) = [
+        node for node in g_ip.node("r1").neighbors() if g_ip.has_edge(node, "r2")
+    ]
+    del unwrap_graph(g_ip).edges["r1", domain.node_id]["ip_address"]
+    with pytest.raises(CompilerError, match="r1 has no ipv4 address on collision domain"):
+        NetkitCompiler(anm).compile()
+
+
+def test_device_missing_from_a_switch_domain_gets_no_interface():
+    # the one tolerated gap: the switch map names a domain the device is not on
+    anm = design_network(star_with_switch(3, asn=1))
+    g_ip = anm["ipv4"]
+    g_ip.remove_edge("r1", g_ip.data.switch_domain_map["sw1"])
+    nidb = NetkitCompiler(anm).compile()
+    assert nidb.node("r1").physical_interfaces() == []
+    assert len(nidb.node("r2").physical_interfaces()) == 1
+
+
 class TestNetkit:
     def test_interface_names_eth(self, anm):
         nidb = NetkitCompiler(anm).compile()

@@ -122,3 +122,34 @@ def test_centrality_minimum_respected():
     anm = _phy_anm(graph)
     chosen = assign_route_reflectors_by_centrality(anm, fraction=0.0, minimum=2)
     assert len(chosen) == 2
+
+
+def test_full_mesh_edge_order_is_that_of_eq2():
+    """Grouping by ASN leaves the edge list of the N x N comprehension, order included."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    # ASes interleaved in node order, ids out of string order within an AS
+    for name, asn in [
+        ("r9", 1), ("r2", 2), ("r5", 3), ("r1", 1), ("r8", 3),
+        ("r3", 2), ("r7", 1), ("r4", 3), ("r6", 2), ("r0", 1),
+    ]:
+        graph.add_node(name, asn=asn, device_type="router")
+    nx.add_path(graph, list(graph.nodes))
+    anm = _phy_anm(graph)
+    routers = anm["phy"].routers()
+
+    expected = nx.DiGraph()
+    expected.add_nodes_from(node.node_id for node in routers)
+    for src, dst in [
+        (src, dst)
+        for src in routers
+        for dst in routers
+        if src.asn == dst.asn and str(src.node_id) < str(dst.node_id)
+    ]:
+        expected.add_edge(src.node_id, dst.node_id)
+        expected.add_edge(dst.node_id, src.node_id)
+
+    g_ibgp = build_ibgp_full_mesh(anm)
+    assert [(edge.src_id, edge.dst_id) for edge in g_ibgp.edges()] == list(expected.edges)
+    assert g_ibgp.number_of_edges() == 2 * (6 + 3 + 3)
