@@ -9,23 +9,46 @@ Withdrawals are implicit — the Adj-RIB-In is rebuilt every round.
 Two scheduling modes implement those semantics
 (:class:`BgpSimulation` ``bgp_mode``):
 
-* ``"events"`` (the default) keeps a persistent Adj-RIB-In and a
-  per-router pending-update queue: only routers whose selection
-  changed last round re-export, and only (receiver, prefix) pairs
-  whose incoming contributions changed re-run the decision process.
-  Quiescent routers do no work, yet every per-round global selection
-  state — and therefore every convergence/oscillation verdict, period,
-  and history snapshot — is bit-identical to the reference schedule.
-  Imported routes are interned, so identical paths are shared across
-  RIBs and history snapshots instead of reallocated each round.
-* ``"rounds"`` is the reference oracle: the Adj-RIB-In is rebuilt from
-  scratch every round, every router re-decides everything.  The
-  differential test layer asserts both modes agree on final state
-  hashes under random topologies and fault schedules.
+* ``"events"`` (the default) keeps a persistent Adj-RIB-In and two
+  pending queues: only routers whose selection changed last round
+  re-export, and only (receiver, prefix) pairs whose incoming
+  contributions changed re-run the decision process.  Quiescent
+  routers do no work, yet every per-round global selection state — and
+  therefore every convergence/oscillation verdict, period, and history
+  snapshot — is bit-identical to the reference schedule.
 
-``bgp.messages`` reflects the schedule: in rounds mode it counts every
-(session, prefix) advertisement every round; in events mode it counts
-only actual update messages — re-advertisements of changed selections.
+  A re-export is computed per **update group**, not per session.  At
+  ``rebuild`` each sender's sessions are partitioned by the values the
+  export->import pipeline reads: for iBGP the sender side's
+  ``next-hop-self`` and ``route-reflector-client`` flags and the
+  receiver side's ``route-reflector-client`` flag and peer address; an
+  eBGP session is a group of one (its outcome depends on the session's
+  own addresses and policy).  The pipeline (export check, export,
+  import policy, interning) runs once per (sender, route, group) and
+  is memoised; each member peer then costs only the two loop checks —
+  never back to the peer the route was learned from, never back to its
+  originator — and the Adj-RIB-In store.  A 400-router full mesh thus
+  builds each router's advert once instead of 399 times.  Groups keep
+  session order, so with parallel sessions to one peer the last one
+  still wins, as in the reference.  Imported routes are interned, so
+  identical paths are shared across RIBs and history snapshots instead
+  of reallocated each round.
+* ``"rounds"`` is the reference oracle: the Adj-RIB-In is rebuilt from
+  scratch every round, every router re-decides everything, and the
+  pipeline runs per session with no grouping and no memo.  The
+  differential test layer asserts both modes agree on final state
+  hashes under random topologies, fault schedules and synthetic
+  policy mixes.
+
+``bgp.messages`` counts update messages on the wire — one per session
+and prefix delivered, whether or not the receiver's import policy
+keeps it — and so is independent of the grouping: in rounds mode every
+(session, prefix) advertisement of every round, in events mode only
+the re-advertisements of changed selections.  ``bgp.routes_interned``
+/ ``bgp.route_pool_hits`` (pipeline runs that built a new / an already
+pooled route) and ``bgp.advert_cache_hits`` (runs the memo saved) *are*
+per group; they are kept in plain integers while the schedule runs and
+flushed once per ``run``.
 
 Convergence detection hashes the global selection state each round:
 
@@ -56,7 +79,7 @@ Decision process order (classic BGP best path):
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.emulation.intent import BgpNeighborIntent
@@ -98,9 +121,15 @@ VENDOR_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BgpRoute:
-    """One BGP path as stored in a router's RIB."""
+    """One BGP path as stored in a router's RIB.
+
+    Routes are interned by :class:`BgpSimulation`, so one instance is
+    hashed by every memo and queue it passes through; the hash and the
+    selection key are therefore computed once and kept on the instance
+    (two slots, no side table).
+    """
 
     prefix: ipaddress.IPv4Network
     as_path: tuple[int, ...]
@@ -115,15 +144,42 @@ class BgpRoute:
     peer_router_id: str = "0.0.0.0"
     peer_address: str = "0.0.0.0"
     communities: tuple[str, ...] = ()
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _selection_key: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _identity(self) -> tuple:
+        return tuple([getattr(self, name) for name in _ROUTE_FIELDS])
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash(self._identity())
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        # Rebuild through __init__: a cached hash is only valid in the
+        # process that computed it (string hashing is salted).
+        return (BgpRoute, self._identity())
 
     def selection_key(self) -> tuple:
         """What "the same selection" means for convergence detection."""
-        return (
-            str(self.prefix),
-            str(self.next_hop),
-            self.learned_from or "",
-            self.as_path,
-        )
+        cached = self._selection_key
+        if cached is None:
+            cached = (
+                str(self.prefix),
+                str(self.next_hop),
+                self.learned_from or "",
+                self.as_path,
+            )
+            object.__setattr__(self, "_selection_key", cached)
+        return cached
+
+
+#: What makes a route what it is: every field but the two caches.
+_ROUTE_FIELDS = tuple(f.name for f in fields(BgpRoute) if f.init)
 
 
 @dataclass
@@ -134,6 +190,23 @@ class Session:
     peer: str
     intent: BgpNeighborIntent
     is_ebgp: bool
+
+
+@dataclass
+class UpdateGroup:
+    """Sessions of one sender that share one export->import outcome.
+
+    ``session`` (the first member) stands for all of them in the
+    pipeline, ``peers`` lists every member's peer in session order, and
+    ``key`` is what the advert memo adds to (sender, route) for this
+    group: first the receiver whose config the outcome depends on
+    (``None`` for iBGP, where only the values in the key are read),
+    then those values, addresses as text so the key hashes natively.
+    """
+
+    session: Session
+    peers: list[str]
+    key: tuple
 
 
 @dataclass
@@ -188,14 +261,20 @@ class BgpSimulation:
         #: Intern pool: identical routes are shared across RIBs,
         #: selections, and history snapshots instead of reallocated.
         self._route_pool: dict[BgpRoute, BgpRoute] = {}
-        #: Memo for the export->import pipeline (event schedule only).
-        #: Survives ``rebuild`` across fault cycles (faults change
-        #: topology, never config), but entries touching a machine
-        #: whose BGP-relevant config changed — a live update moving a
-        #: loopback, router-id, or session policy — are evicted, since
-        #: the pipeline reads those inputs without them being in the
-        #: memo key.
+        #: Memo for the export->import pipeline (event schedule only),
+        #: keyed (sender, update-group key, route, eBGP session
+        #: address).  Survives ``rebuild`` across fault cycles (faults
+        #: change topology, never config), but entries touching a
+        #: machine whose BGP-relevant config changed — a live update
+        #: moving a loopback, router-id, or session policy — are
+        #: evicted, since the pipeline reads those inputs without them
+        #: being in the memo key.
         self._advert_cache: dict[tuple, Optional[BgpRoute]] = {}
+        #: Work counts of the hot loops by metric name, flushed to the
+        #: registry once per ``run`` instead of once per message.
+        self._counts = dict.fromkeys(
+            ("bgp.routes_interned", "bgp.route_pool_hits", "bgp.advert_cache_hits"), 0
+        )
         #: machine -> BGP-relevant config fingerprint at last rebuild.
         self._machine_config: dict[str, tuple] = {}
         #: Event-engine state (Adj-RIB-In + contributions) persisted
@@ -226,10 +305,10 @@ class BgpSimulation:
         """
         if network is not None:
             self.network = network
-        #: (machine, next hop) -> IGP cost memo; the decision process
+        #: machine -> next hop -> IGP cost memo; the decision process
         #: resolves the same next hops for every candidate every round,
         #: and the answer only changes when the fabric does.
-        self._next_hop_costs: dict[tuple, Optional[int]] = {}
+        self._next_hop_costs: dict[str, dict] = {}
         self.warnings = []
         self.vendors = {}
         for name, device in self.network.machines.items():
@@ -238,6 +317,8 @@ class BgpSimulation:
                 vendor_name, VENDOR_PROFILES["quagga"]
             )
         self.sessions = {}
+        #: sender -> its sessions partitioned into update groups.
+        self._update_groups: dict[str, list[UpdateGroup]] = {}
         #: (local machine, peer machine) -> the local side's neighbor intent.
         self._intent_of: dict[tuple[str, str], BgpNeighborIntent] = {}
         old_local = self.local_routes
@@ -253,18 +334,15 @@ class BgpSimulation:
         (default local-pref), the loopback (iBGP next-hop-self and
         fallback next hops), and the full BGP stanza (ASN for loop
         checks and prepending, router-id stamping, per-neighbor
-        policy)."""
+        policy).  Neighbor stanzas are held as they are and compared by
+        value: intents are immutable after parse."""
         bgp = device.bgp
         return (
             self._vendor_overrides.get(name, device.vendor),
-            str(device.loopback),
+            device.loopback,
             None
             if bgp is None
-            else (
-                bgp.asn,
-                bgp.router_id,
-                tuple(repr(neighbor) for neighbor in bgp.neighbors),
-            ),
+            else (bgp.asn, bgp.router_id, tuple(bgp.neighbors)),
         )
 
     def _evict_stale_adverts(self) -> set[str]:
@@ -281,8 +359,7 @@ class BgpSimulation:
         previous = self._machine_config
         config = {}
         for name, device in self.network.machines.items():
-            # Same intent object as last rebuild -> same fingerprint;
-            # only replaced devices pay the repr of their BGP stanza.
+            # Same intent object as last rebuild -> same fingerprint.
             if name in previous and self._prev_devices.get(name) is device:
                 config[name] = previous[name]
             else:
@@ -298,7 +375,7 @@ class BgpSimulation:
             evicted = [
                 key
                 for key in self._advert_cache
-                if key[0] in changed or key[1] in changed
+                if key[0] in changed or key[1][0] in changed
             ]
             for key in evicted:
                 del self._advert_cache[key]
@@ -322,7 +399,7 @@ class BgpSimulation:
         """
         self._session_config = {
             name: tuple(
-                (session.peer, str(session.intent.peer_ip), session.is_ebgp)
+                (session.peer, session.intent.peer_ip, session.is_ebgp)
                 for session in session_list
             )
             for name, session_list in self.sessions.items()
@@ -398,6 +475,43 @@ class BgpSimulation:
                         % (name, session.peer)
                     )
             self.sessions[name] = alive
+            self._update_groups[name] = self._group_sessions(name, alive)
+
+    def _group_sessions(self, sender: str, session_list: list) -> list[UpdateGroup]:
+        """Partition one sender's sessions into update groups.
+
+        The key holds every value the export->import pipeline reads
+        from a session besides the two per-peer loop checks, so one
+        pipeline run serves the whole group.  A peer met a second time
+        (a parallel session) opens a new epoch: groups never reorder
+        two sessions to the same peer, which is all "the last parallel
+        session wins" depends on.
+        """
+        groups: dict[tuple, UpdateGroup] = {}
+        seen: set[str] = set()
+        epoch = 0
+        for session in session_list:
+            if session.peer in seen:
+                epoch += 1
+                seen = set()
+            seen.add(session.peer)
+            intent = session.intent
+            if session.is_ebgp:
+                receiver, flags, address = session.peer, (), intent.peer_ip
+            else:
+                receiving = self._intent_of[(session.peer, sender)]
+                receiver = None
+                flags = (intent.next_hop_self, intent.rr_client, receiving.rr_client)
+                address = receiving.peer_ip
+            shared = (epoch, receiver, flags, address)
+            group = groups.get(shared)
+            if group is None:
+                groups[shared] = UpdateGroup(
+                    session, [session.peer], (receiver, flags, str(address))
+                )
+            else:
+                group.peers.append(session.peer)
+        return list(groups.values())
 
     def _originate(self) -> dict[str, dict]:
         local: dict[str, dict] = {}
@@ -424,15 +538,19 @@ class BgpSimulation:
         """Return the pooled instance equal to ``route``."""
         pooled = self._route_pool.setdefault(route, route)
         if pooled is route:
-            metric_inc("bgp.routes_interned")
+            self._counts["bgp.routes_interned"] += 1
         else:
-            metric_inc("bgp.route_pool_hits")
+            self._counts["bgp.route_pool_hits"] += 1
         return pooled
 
     # -- export / import ----------------------------------------------------
     def _can_export(self, route: BgpRoute, session: Session) -> bool:
         if route.learned_from == session.peer:
             return False
+        return self._export_policy(route, session)
+
+    def _export_policy(self, route: BgpRoute, session: Session) -> bool:
+        """The export check minus the per-peer split-horizon test."""
         if session.is_ebgp:
             denied = getattr(session.intent, "deny_out", ()) or ()
             if any(route.prefix == net or net.supernet_of(route.prefix) for net in denied):
@@ -490,6 +608,14 @@ class BgpSimulation:
 
     def _import(self, receiver: str, sender: str, route: BgpRoute, session: Session):
         """Apply receive-side checks and policy; None means rejected."""
+        if not session.is_ebgp and route.originator == receiver:
+            return None  # reflection loop back to the originator
+        return self._import_policy(receiver, sender, route, session)
+
+    def _import_policy(
+        self, receiver: str, sender: str, route: BgpRoute, session: Session
+    ):
+        """The import minus the per-peer originator check."""
         device = self.network.machines[receiver]
         vendor = self.vendors[receiver]
         receiving_intent = self._intent_of.get((receiver, sender))
@@ -522,8 +648,6 @@ class BgpSimulation:
                     peer_address=str(receiving_intent.peer_ip),
                 )
             )
-        if route.originator == receiver:
-            return None  # reflection loop back to the originator
         return self._intern(
             replace(
                 route,
@@ -535,26 +659,30 @@ class BgpSimulation:
             )
         )
 
-    def _advertise(self, sender: str, route: BgpRoute, session: Session):
-        """The export->import pipeline for one advert, memoised.
+    def _advertise(self, sender: str, route: BgpRoute, group: UpdateGroup):
+        """The export->import pipeline for one update group, memoised.
 
+        For a route the group's export policy lets out: the route every
+        member peer stores (subject to its own two loop checks), or
+        ``None`` when the receiver's import policy rejects it.
         Given the resolved session address (the only network-dependent
         input — everything else is config values that survive topology
-        deltas), the outcome is a pure function of (sender, session,
+        deltas), the outcome is a pure function of (sender, group,
         route), so a fault cycle that revisits earlier selections skips
         the policy evaluation and route construction entirely.  Only the
         event schedule calls this; the reference schedule stays naive.
         """
+        session = group.session
         anchor = self._session_address(sender, session) if session.is_ebgp else None
-        key = (sender, session.peer, session.intent.peer_ip, route, anchor)
+        key = (sender, group.key, route, anchor)
         try:
             imported = self._advert_cache[key]
-            metric_inc("bgp.advert_cache_hits")
+            self._counts["bgp.advert_cache_hits"] += 1
             return imported
         except KeyError:
             pass
         advert = self._export(sender, route, session)
-        imported = self._import(session.peer, sender, advert, session)
+        imported = self._import_policy(session.peer, sender, advert, session)
         if len(self._advert_cache) > 200_000:
             self._advert_cache.clear()
         self._advert_cache[key] = imported
@@ -562,9 +690,9 @@ class BgpSimulation:
 
     # -- decision process ----------------------------------------------------
     def _next_hop_cost(self, machine: str, next_hop) -> Optional[int]:
-        key = (machine, next_hop)
+        costs = self._next_hop_costs.setdefault(machine, {})
         try:
-            return self._next_hop_costs[key]
+            return costs[next_hop]
         except KeyError:
             pass
         cost = self.igp.cost_to_address(machine, next_hop)
@@ -575,7 +703,7 @@ class BgpSimulation:
             owner = self.network.owner_of(next_hop)
             if owner is not None and owner in self.network.neighbors_of(machine):
                 cost = 0
-        self._next_hop_costs[key] = cost
+        costs[next_hop] = cost
         return cost
 
     def _valid(self, machine: str, route: BgpRoute) -> bool:
@@ -661,6 +789,7 @@ class BgpSimulation:
             result = self._simulate_rounds(max_rounds, resume_from=resume_from)
         else:
             result = self._simulate_events(max_rounds, resume_from=resume_from)
+        self._flush_counts()
         metric_inc("bgp.rounds", result.rounds)
         metric_inc("bgp.messages", result.messages)
         metric_inc("bgp.state_hash_checks", result.rounds + 1)
@@ -684,6 +813,14 @@ class BgpSimulation:
                 messages=result.messages,
             )
         return result
+
+    def _flush_counts(self) -> None:
+        """Hand the hot loops' plain-integer counts to the registry."""
+        for name, count in self._counts.items():
+            if count:
+                metric_inc(name, count)
+                self._counts[name] = 0
+        self.igp.flush_metrics()
 
     def _seed_selected(self, resume_from: Optional[dict]) -> dict[str, dict]:
         selected: dict[str, dict] = {
@@ -792,6 +929,14 @@ class BgpSimulation:
         over, which is why per-round global states (and hence
         convergence verdicts, periods, and history) match the reference
         exactly while quiescent routers do no work.
+
+        The RIB and both queues are keyed prefix first (``prefix ->
+        machine``): one re-export touches one prefix and many peers, so
+        the network object is hashed and ordered once per prefix while
+        the per-peer steps handle machine names only.  Within a prefix
+        machines are visited in name order, which gives every
+        (receiver, prefix) its senders, and every receiver its
+        prefixes, in the same order a machine-major sweep would.
         """
         selected = self._seed_selected(resume_from)
         seen: dict[tuple, int] = {}
@@ -821,56 +966,57 @@ class BgpSimulation:
             # changes invisible to the state key) still go out.
             rib_in = saved["rib_in"]
             contributions = saved["contributions"]
-            senders_to: dict[str, set] = {}
-            for sender, session_list in self.sessions.items():
-                for session in session_list:
-                    senders_to.setdefault(session.peer, set()).add(sender)
             resend = set(dirty)
-            for receiver in dirty:
-                resend.update(senders_to.get(receiver, ()))
-            pending_exports = set(saved["pending_exports"])
-            pending_exports.update(
-                (name, prefix)
-                for name in resend
-                for prefix in selected.get(name, {})
-            )
-            pending_decides = {
-                (name, prefix)
-                for name in dirty
-                for prefix in set(selected.get(name, {}))
-                | set(rib_in.get(name, {}))
-                | set(self.local_routes.get(name, {}))
+            for sender, groups in self._update_groups.items():
+                if sender not in resend and any(
+                    not dirty.isdisjoint(group.peers) for group in groups
+                ):
+                    resend.add(sender)
+            pending_exports = {
+                prefix: set(senders)
+                for prefix, senders in saved["pending_exports"].items()
             }
+            for name in resend:
+                for prefix in selected.get(name, {}):
+                    pending_exports.setdefault(prefix, set()).add(name)
+            pending_decides: dict = {}
+            for name in dirty:
+                for table in (selected, self.local_routes):
+                    for prefix in table.get(name, {}):
+                        pending_decides.setdefault(prefix, set()).add(name)
+            for prefix, by_receiver in rib_in.items():
+                stored = dirty & by_receiver.keys()
+                if stored:
+                    pending_decides.setdefault(prefix, set()).update(stored)
             metric_inc("bgp.resume_incremental")
             metric_observe("bgp.resume_dirty", len(dirty))
         else:
-            #: receiver -> prefix -> sender -> imported route.
-            rib_in = {name: {} for name in self.network.machines}
-            #: (sender, prefix) -> {peer: imported route} currently in RIBs.
+            #: prefix -> receiver -> sender -> imported route.
+            rib_in = {}
+            #: prefix -> sender -> {peer: imported route} currently in RIBs.
             contributions = {}
             # Every seeded selection is an unsent update; resumed learned
             # routes must also be re-decided (the reference drops them
             # unless re-delivered), so seed the decide queue with them.
-            pending_exports = {
-                (name, prefix)
-                for name, table in selected.items()
-                for prefix in table
-            }
-            pending_decides = {
-                (name, prefix)
-                for name, table in selected.items()
-                for prefix, route in table.items()
-                if route.learned_via != "local"
-            }
+            pending_exports = {}
+            pending_decides = {}
+            for name, table in selected.items():
+                for prefix, route in table.items():
+                    pending_exports.setdefault(prefix, set()).add(name)
+                    if route.learned_via != "local":
+                        pending_decides.setdefault(prefix, set()).add(name)
             if resume_from is not None:
                 metric_inc("bgp.resume_full")
 
+        machines = self.network.machines
         for round_index in range(max_rounds + 1):
             # Queue depth per round is *the* visibility into what the
             # event-driven schedule saves: the reference rebuilds every
             # RIB every round, the fast path touches only these.
             metric_observe(
-                "bgp.queue_depth", len(pending_exports) + len(pending_decides)
+                "bgp.queue_depth",
+                sum(map(len, pending_exports.values()))
+                + sum(map(len, pending_decides.values())),
             )
             state = self._state_key(selected)
             if self.keep_history:
@@ -903,57 +1049,76 @@ class BgpSimulation:
                 )
             seen[state] = round_index
 
-            # Propagate: recompute contributions of changed selections.
-            for sender, prefix in sorted(pending_exports):
-                route = selected.get(sender, {}).get(prefix)
-                new_map: dict = {}
-                if route is not None:
-                    for session in self.sessions.get(sender, []):
-                        if not self._can_export(route, session):
-                            continue
-                        imported = self._advertise(sender, route, session)
-                        messages += 1
-                        if imported is not None:
-                            # Parallel sessions to the same peer: the
-                            # last non-None import wins, as in the
-                            # reference schedule.
-                            new_map[session.peer] = imported
-                old_map = contributions.get((sender, prefix), {})
-                if new_map == old_map:
-                    continue
-                for peer in old_map.keys() - new_map.keys():
-                    rib_in[peer].get(prefix, {}).pop(sender, None)
-                    pending_decides.add((peer, prefix))
-                for peer, imported in new_map.items():
-                    if old_map.get(peer) != imported:
-                        rib_in[peer].setdefault(prefix, {})[sender] = imported
-                        pending_decides.add((peer, prefix))
-                if new_map:
-                    contributions[(sender, prefix)] = new_map
-                else:
-                    contributions.pop((sender, prefix), None)
+            # Propagate: recompute contributions of changed selections,
+            # one pipeline run per update group, two loop checks per peer.
+            for prefix in sorted(pending_exports):
+                rib_prefix = rib_in.setdefault(prefix, {})
+                sent = contributions.setdefault(prefix, {})
+                redecide = pending_decides.setdefault(prefix, set())
+                for sender in sorted(pending_exports[prefix]):
+                    route = selected.get(sender, {}).get(prefix)
+                    new_map: dict = {}
+                    if route is not None:
+                        learned_from = route.learned_from
+                        for group in self._update_groups.get(sender, ()):
+                            if not self._export_policy(route, group.session):
+                                continue
+                            imported = self._advertise(sender, route, group)
+                            # eBGP imports carry no originator.
+                            originator = (
+                                None if imported is None else imported.originator
+                            )
+                            for peer in group.peers:
+                                if peer == learned_from:
+                                    continue
+                                messages += 1
+                                if imported is not None and peer != originator:
+                                    # Parallel sessions to the same
+                                    # peer: the last non-None import
+                                    # wins, as in the reference.
+                                    new_map[peer] = imported
+                    old_map = sent.get(sender, {})
+                    if new_map == old_map:
+                        continue
+                    for peer in old_map.keys() - new_map.keys():
+                        rib_prefix.get(peer, {}).pop(sender, None)
+                        redecide.add(peer)
+                    for peer, imported in new_map.items():
+                        # Both maps hold pooled routes: equal is identical.
+                        if old_map.get(peer) is not imported:
+                            rib_prefix.setdefault(peer, {})[sender] = imported
+                            redecide.add(peer)
+                    if new_map:
+                        sent[sender] = new_map
+                    else:
+                        sent.pop(sender, None)
 
             # Decide: re-run the decision process where inputs changed.
-            pending_exports = set()
-            for receiver, prefix in sorted(pending_decides):
-                device = self.network.machines.get(receiver)
-                if device is None or device.bgp is None:
-                    continue
-                candidates = []
-                local = self.local_routes.get(receiver, {}).get(prefix)
-                if local is not None:
-                    candidates.append(local)
-                candidates.extend(rib_in[receiver].get(prefix, {}).values())
-                best = self.decide(receiver, candidates)
-                table = selected.setdefault(receiver, {})
-                previous = table.get(prefix)
-                if best is None:
-                    table.pop(prefix, None)
-                else:
-                    table[prefix] = best
-                if best != previous:
-                    pending_exports.add((receiver, prefix))
-            pending_decides = set()
+            pending_exports = {}
+            for prefix in sorted(pending_decides):
+                rib_prefix = rib_in.get(prefix, {})
+                changed = set()
+                for receiver in sorted(pending_decides[prefix]):
+                    device = machines.get(receiver)
+                    if device is None or device.bgp is None:
+                        continue
+                    candidates = []
+                    local = self.local_routes.get(receiver, {}).get(prefix)
+                    if local is not None:
+                        candidates.append(local)
+                    candidates.extend(rib_prefix.get(receiver, {}).values())
+                    best = self.decide(receiver, candidates)
+                    table = selected.setdefault(receiver, {})
+                    previous = table.get(prefix)
+                    if best is None:
+                        table.pop(prefix, None)
+                    else:
+                        table[prefix] = best
+                    if best is not previous and best != previous:
+                        changed.add(receiver)
+                if changed:
+                    pending_exports[prefix] = changed
+            pending_decides = {}
 
         return BgpResult(
             converged=False,
@@ -967,8 +1132,10 @@ class BgpSimulation:
 
     @staticmethod
     def _state_key(selected: dict) -> tuple:
+        # One key per prefix in a table, so a set loses nothing a
+        # sorted tuple would keep.
         return tuple(
-            (name, tuple(sorted(route.selection_key() for route in table.values())))
+            (name, frozenset(route.selection_key() for route in table.values()))
             for name, table in sorted(selected.items())
         )
 

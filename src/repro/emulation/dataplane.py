@@ -18,7 +18,11 @@ from repro.emulation.bgp_engine import BgpResult
 from repro.emulation.network import EmulatedNetwork
 from repro.emulation.ospf_engine import IgpState
 
+#: Hop budget of ``trace``, traceroute's default.
 MAX_HOPS = 30
+#: Hop budget of ``ping``, the default IP TTL: a loop-free path longer
+#: than a traceroute shows is still reachable.
+PING_TTL = 64
 
 
 @dataclass
@@ -150,11 +154,14 @@ class Dataplane:
     # -- probes ---------------------------------------------------------------
     def trace(self, source: str, destination) -> TraceResult:
         """Hop-by-hop forwarding walk, traceroute-style."""
+        return self._walk(source, destination, MAX_HOPS)
+
+    def _walk(self, source: str, destination, max_hops: int) -> TraceResult:
         destination = ipaddress.ip_address(str(destination))
         result = TraceResult(source=source, destination=destination)
         current = source
         visited: set[str] = set()
-        for _ in range(MAX_HOPS):
+        for _ in range(max_hops):
             decision = self.lookup(current, destination)
             if decision.action == "deliver":
                 if result.hops and result.hops[-1][0] == current:
@@ -179,7 +186,7 @@ class Dataplane:
 
     def ping(self, source: str, destination) -> bool:
         """True when the forward path reaches the destination."""
-        return self.trace(source, destination).reached
+        return self._walk(source, destination, PING_TTL).reached
 
     def path_machines(self, source: str, destination) -> list[str]:
         trace = self.trace(source, destination)

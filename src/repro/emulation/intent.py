@@ -106,7 +106,7 @@ class BgpIntent:
     neighbors: list[BgpNeighborIntent] = field(default_factory=list)
 
     def neighbor_for(self, peer_ip) -> Optional[BgpNeighborIntent]:
-        peer_ip = ipaddress.ip_address(str(peer_ip))
+        peer_ip = _as_address(peer_ip)
         for neighbor in self.neighbors:
             if neighbor.peer_ip == peer_ip:
                 return neighbor

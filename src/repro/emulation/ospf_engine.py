@@ -18,8 +18,10 @@ through area border routers (ABRs), always transiting the backbone
 exactly the summary-LSA arithmetic.
 
 Routes are computed lazily per source machine (Dijkstra on demand,
-cached), which keeps thousand-router labs workable: the NREN-scale
-experiment only ever asks for a handful of sources.
+cached), and a source only ever looks at its own IGP domain — its
+connected component of the union of the area adjacencies — never at
+the rest of the lab, which keeps thousand-router labs of many small
+domains (the NREN model) workable.
 
 Two recomputation modes govern what happens when the fabric changes
 under a running lab (:meth:`IgpState.rebuild`):
@@ -108,13 +110,15 @@ class IgpState:
         self._route_deps: dict[str, frozenset] = {}
         #: source -> connected-network fingerprint at compute time.
         self._route_connected: dict[str, tuple] = {}
-        #: source -> {address: cost} memo for cost_to_address; lives
-        #: and dies with the source's entry in the routes cache.
-        self._cost_memo: dict[str, dict] = {}
-        #: source -> [(version, shift, netint, metric)] — the source's
-        #: route table as integer masks; same lifetime as the memo.
-        self._route_match: dict[str, list] = {}
+        #: source -> what cost_to_address rendered for it; lives and
+        #: dies with the source's entry in the routes cache.
+        self._address_views: dict[str, _AddressView] = {}
+        #: machine -> its IGP domain: the connected component of the
+        #: union of area adjacencies, members in fabric order.
+        self._component: dict[str, tuple[str, ...]] = {}
         self._dep_collector: Optional[set] = None
+        #: SPF cache hits since the last flush_metrics().
+        self._spf_cache_hits = 0
         #: Machines whose IGP view may differ from the last time the
         #: BGP layer consumed this set (see consume_dirty_sources).
         self._bgp_dirty_sources: set[str] = set(network.machines)
@@ -131,6 +135,7 @@ class IgpState:
         """
         old_adjacency = self.area_adjacency
         old_areas = self.machine_areas
+        old_components = self._component
         old_prefixes = self._advertised_fingerprint()
         if network is not None:
             self.network = network
@@ -141,7 +146,9 @@ class IgpState:
         if self.spf_mode == "full":
             self._invalidate_all()
             return
-        self._invalidate_incremental(old_adjacency, old_areas, old_prefixes)
+        self._invalidate_incremental(
+            old_adjacency, old_areas, old_prefixes, old_components
+        )
 
     def _invalidate_all(self) -> None:
         metric_inc("ospf.spf_invalidated", len(self._spf_cache))
@@ -153,8 +160,7 @@ class IgpState:
         self._routes_cache.clear()
         self._route_deps.clear()
         self._route_connected.clear()
-        self._cost_memo.clear()
-        self._route_match.clear()
+        self._address_views.clear()
         self._bgp_dirty_sources |= set(self.network.machines)
 
     def _advertised_fingerprint(self) -> dict[str, tuple]:
@@ -165,7 +171,7 @@ class IgpState:
         }
 
     def _invalidate_incremental(
-        self, old_adjacency, old_areas, old_prefixes
+        self, old_adjacency, old_areas, old_prefixes, old_components
     ) -> None:
         """Drop exactly the cached state the adjacency delta can touch.
 
@@ -174,9 +180,11 @@ class IgpState:
         any path to newly connected territory must cross a changed edge
         whose nearer endpoint was previously reachable, so surviving
         runs are provably identical.  Route tables survive unless a run
-        they consulted was dropped, the source's own connected networks
-        changed, or the lab's structure (area membership / advertised
-        prefixes) shifted, which reshapes ABR sets globally.
+        they consulted was dropped, the source's IGP domain gained or
+        lost a member (a table only consulted runs inside the domain it
+        was computed in), the source's own connected networks changed,
+        or the lab's structure (area membership / advertised prefixes)
+        shifted, which reshapes ABR sets globally.
         """
         changed: dict[int, set[str]] = {}
         for area in set(old_adjacency) | set(self.area_adjacency):
@@ -212,6 +220,8 @@ class IgpState:
                 stale = True
             elif self._route_deps.get(source, frozenset()) & dropped:
                 stale = True
+            elif self._component.get(source) != old_components.get(source):
+                stale = True
             else:
                 stale = (
                     self._local_fingerprint(source)
@@ -222,8 +232,7 @@ class IgpState:
                 del self._routes_cache[source]
                 self._route_deps.pop(source, None)
                 self._route_connected.pop(source, None)
-                self._cost_memo.pop(source, None)
-                self._route_match.pop(source, None)
+                self._address_views.pop(source, None)
         metric_inc("ospf.routes_invalidated", invalidated_routes)
         metric_inc("ospf.routes_retained", len(self._routes_cache))
         # the single number the incremental-vs-full comparison needs:
@@ -292,6 +301,34 @@ class IgpState:
             areas.update(area for _, area in self.advertised_prefixes(device))
             if areas:
                 self.machine_areas[name] = areas
+        self._component = self._components()
+
+    def _components(self) -> dict[str, tuple[str, ...]]:
+        """Connected components of the union of the area adjacencies."""
+        label: dict[str, str] = {}
+        for machines in self.area_adjacency.values():
+            for root in machines:
+                if root in label:
+                    continue
+                label[root] = root
+                stack = [root]
+                while stack:
+                    machine = stack.pop()
+                    for area_machines in self.area_adjacency.values():
+                        for neighbor, _ in area_machines.get(machine, ()):
+                            if neighbor not in label:
+                                label[neighbor] = root
+                                stack.append(neighbor)
+        members: dict[str, list[str]] = {}
+        for name in self.network.machines:
+            if name in label:
+                members.setdefault(label[name], []).append(name)
+        component: dict[str, tuple[str, ...]] = {}
+        for names in members.values():
+            shared = tuple(names)
+            for name in names:
+                component[name] = shared
+        return component
 
     @staticmethod
     def _advertised_area(device, interface) -> Optional[int]:
@@ -381,7 +418,7 @@ class IgpState:
             self._dep_collector.add(key)
         cached = self._spf_cache.get(key)
         if cached is not None:
-            metric_inc("ospf.spf_cache_hits")
+            self._spf_cache_hits += 1
             return cached
         metric_inc("ospf.spf_runs")
         graph = self.area_adjacency.get(area, {})
@@ -413,7 +450,20 @@ class IgpState:
         for _, metric, _ in self._machine_paths(source, target):
             if best is None or metric < best:
                 best = metric
+        self.flush_metrics()
         return best
+
+    def flush_metrics(self) -> None:
+        """Report the SPF cache hits counted since the last call.
+
+        ``spf`` is probed once per (source, target) while a routing
+        table is computed, so the hits are counted in a plain integer
+        and handed to the registry at the end of the computation that
+        caused them, not once per probe.
+        """
+        if self._spf_cache_hits:
+            metric_inc("ospf.spf_cache_hits", self._spf_cache_hits)
+            self._spf_cache_hits = 0
 
     def _machine_paths(self, source: str, target: str):
         """(area chain, metric, first hop) options from source to target.
@@ -511,6 +561,7 @@ class IgpState:
             table = self._compute_routes(source)
         finally:
             self._dep_collector = previous_collector
+            self.flush_metrics()
         if previous_collector is not None:
             previous_collector.update(deps)
         self._routes_cache[source] = table
@@ -532,8 +583,11 @@ class IgpState:
     def _compute_routes(self, source: str) -> dict[ipaddress.IPv4Network, IgpRoute]:
         connected = set(self.network.connected_networks(source))
         table: dict[ipaddress.IPv4Network, IgpRoute] = {}
-        for machine, device in self.network.machines.items():
-            if machine == source or (device.ospf is None and device.isis is None):
+        machines = self.network.machines
+        # Only the source's own IGP domain can hold a path; its members
+        # come in fabric order, which fixes the table's prefix order.
+        for machine in self._component.get(source, ()):
+            if machine == source:
                 continue
             paths = self._machine_paths(source, machine)
             if not paths:
@@ -543,7 +597,7 @@ class IgpState:
             )
             if next_hop is None:
                 continue
-            for prefix, _ in self.advertised_prefixes(device):
+            for prefix, _ in self.advertised_prefixes(machines[machine]):
                 if prefix in connected:
                     continue
                 route = IgpRoute(
@@ -573,47 +627,75 @@ class IgpState:
         and the route is invalid.  Answers are memoised per source and
         dropped exactly when that source's route table is invalidated,
         so repeated resolutions across reconvergence cycles are O(1)
-        for every machine the topology delta did not touch.
+        for every machine the topology delta did not touch.  What a
+        lookup matches against — the source's own addresses, its
+        connected subnets and its route table — is rendered down to
+        integer masks once per source (the route table only when a
+        lookup gets that far), so a miss is shift-and-compare: the
+        decision process resolves thousands of next hops against the
+        same source during one reconvergence.
         """
         if not isinstance(
             address, (ipaddress.IPv4Address, ipaddress.IPv6Address)
         ):
             address = ipaddress.ip_address(str(address))
-        memo = self._cost_memo.setdefault(source, {})
+        view = self._address_views.get(source)
+        if view is None:
+            view = self._address_views[source] = _AddressView(
+                self.network.device(source)
+            )
         try:
-            return memo[address]
+            return view.memo[address]
         except KeyError:
             pass
-        source_device = self.network.device(source)
+        addr_int = int(address)
+        version = address.version
         best: Optional[int] = None
-        if source_device.owns_address(address) or any(
-            address in network_
-            for network_ in self.network.connected_networks(source)
+        if any(
+            mask_version == version and (addr_int >> shift) == net
+            for mask_version, shift, net in view.local
         ):
             best = 0
         else:
-            # The route table rendered down to integer masks once,
-            # then every lookup is shift-and-compare — the decision
-            # process resolves thousands of next hops against the same
-            # table during one reconvergence.
-            match = self._route_match.get(source)
-            if match is None:
-                match = [
-                    (
-                        prefix.version,
-                        prefix.max_prefixlen - prefix.prefixlen,
-                        int(prefix.network_address)
-                        >> (prefix.max_prefixlen - prefix.prefixlen),
-                        route.metric,
-                    )
+            if view.routes is None:
+                view.routes = [
+                    _mask(prefix) + (route.metric,)
                     for prefix, route in self.routes(source).items()
                 ]
-                self._route_match[source] = match
-            addr_int = int(address)
-            version = address.version
-            for route_version, shift, net, metric in match:
+            for route_version, shift, net, metric in view.routes:
                 if route_version == version and (addr_int >> shift) == net:
                     if best is None or metric < best:
                         best = metric
-        memo[address] = best
+        view.memo[address] = best
         return best
+
+
+def _mask(prefix) -> tuple[int, int, int]:
+    """A network as (version, shift, network >> shift): an address is
+    inside when the same shift of its integer gives the same value."""
+    shift = prefix.max_prefixlen - prefix.prefixlen
+    return prefix.version, shift, int(prefix.network_address) >> shift
+
+
+class _AddressView:
+    """What ``cost_to_address`` matches against for one source."""
+
+    __slots__ = ("memo", "local", "routes")
+
+    def __init__(self, device):
+        #: address -> cost, the answers given so far.
+        self.memo: dict = {}
+        #: Masks of the zero-cost destinations: the device's connected
+        #: subnets (its own addresses lie inside them) and any address
+        #: configured without a prefix length.
+        self.local: list[tuple[int, int, int]] = []
+        for interface in device.interfaces:
+            if interface.is_management:
+                continue
+            if interface.network is not None:
+                self.local.append(_mask(interface.network))
+            elif interface.ip_address is not None:
+                address = interface.ip_address
+                self.local.append((address.version, 0, int(address)))
+        #: The route table as (mask..., metric), rendered on first use.
+        self.routes: Optional[list] = None

@@ -76,6 +76,23 @@ class TestDataplane:
         assert si_lab.dataplane.ping("as1r1", si_lab.network.device("as200r1").loopback)
         assert not si_lab.dataplane.ping("as1r1", "198.51.100.1")
 
+    def test_ping_outlives_the_traceroute_hop_cap(self):
+        """34 hops down an OSPF chain: past traceroute's 30, inside a
+        default TTL of 64."""
+        from repro.emulation.dataplane import Dataplane
+        from repro.emulation.network import EmulatedNetwork
+        from repro.emulation.ospf_engine import IgpState
+        from tests.emulation.synthetic_bgp import core_lab, core_name, loopback
+
+        network = EmulatedNetwork(core_lab(35))
+        dataplane = Dataplane(network, IgpState(network))
+        far_end = loopback(34)
+        assert dataplane.ping(core_name(0), far_end)
+        trace = dataplane.trace(core_name(0), far_end)
+        assert not trace.reached
+        assert trace.reason == "max hops exceeded"
+        assert len(trace.hops) == 30
+
 
 class TestVirtualMachine:
     def test_traceroute_numeric_output_shape(self, si_lab):

@@ -100,6 +100,13 @@ class TestBgpd:
         client = intent.neighbor_for("192.168.0.3")
         assert client.rr_client is True
 
+    def test_neighbor_for_takes_strings_and_address_objects(self):
+        intent = parse_bgpd(BGPD)
+        by_text = intent.neighbor_for("10.1.0.2")
+        assert by_text is not None
+        assert intent.neighbor_for(ipaddress.ip_address("10.1.0.2")) is by_text
+        assert intent.neighbor_for("10.9.9.9") is None
+
     def test_route_map_not_applied_without_reference(self):
         intent = parse_bgpd(BGPD)
         assert intent.neighbor_for("192.168.0.2").local_pref_in is None
