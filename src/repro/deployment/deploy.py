@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import os
 import shutil
+import stat
 import tarfile
 import tempfile
 from dataclasses import dataclass, field
@@ -59,9 +60,33 @@ def archive_lab(source_dir: str, lab_name: str, archive_dir: str | None = None) 
     archive_path = os.path.join(archive_dir, "%s.tar.gz" % lab_name)
     # gzip's own default level, what ``tar czf`` uses; tarfile defaults to 9
     with tarfile.open(archive_path, "w:gz", compresslevel=6) as archive:
-        for entry in sorted(os.listdir(source_dir)):
-            archive.add(os.path.join(source_dir, entry), arcname=entry)
+        _add_tree(archive, source_dir, "")
     return archive_path
+
+
+def _add_tree(archive: tarfile.TarFile, directory: str, prefix: str) -> None:
+    """Add ``directory``'s entries in sorted pre-order, each directory first.
+
+    The headers are built here rather than by ``TarFile.add``: an
+    integer mtime fits the plain ustar header (a float one costs a PAX
+    header per member), and no owner is recorded, so no user or group
+    name is looked up.
+    """
+    for entry in sorted(os.scandir(directory), key=lambda entry: entry.name):
+        info = tarfile.TarInfo(prefix + entry.name)
+        status = entry.stat(follow_symlinks=False)
+        info.mode = stat.S_IMODE(status.st_mode)
+        info.mtime = int(status.st_mtime)
+        if entry.is_dir(follow_symlinks=False):
+            info.type = tarfile.DIRTYPE
+            archive.addfile(info)
+            _add_tree(archive, entry.path, info.name + "/")
+        elif entry.is_file(follow_symlinks=False):
+            info.size = status.st_size
+            with open(entry.path, "rb") as handle:
+                archive.addfile(info, handle)
+        else:
+            archive.add(entry.path, arcname=info.name, recursive=False)
 
 
 def deploy(

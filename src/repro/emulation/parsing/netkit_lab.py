@@ -22,6 +22,7 @@ from repro.emulation.intent import (
 )
 from repro.emulation.parsing.parallel import parse_machines
 from repro.emulation.parsing.quagga_parse import (
+    intern_address,
     parse_bgpd,
     parse_isisd,
     parse_ospfd,
@@ -61,8 +62,16 @@ def parse_lab_conf(text: str) -> dict[str, dict[int, str]]:
     return wiring
 
 
-def parse_startup(text: str, machine: str) -> list[InterfaceIntent]:
-    """Parse a .startup file's ifconfig lines into interface intents."""
+def parse_startup(
+    text: str, machine: str, addresses: dict | None = None
+) -> list[InterfaceIntent]:
+    """Parse a .startup file's ifconfig lines into interface intents.
+
+    ``addresses`` is the lab parse's intern table (address text to
+    address object, see :func:`parse_netkit_lab`).
+    """
+    if addresses is None:
+        addresses = {}
     interfaces: list[InterfaceIntent] = []
 
     def find(iface_name):
@@ -78,7 +87,7 @@ def parse_startup(text: str, machine: str) -> list[InterfaceIntent]:
             iface_name = v6_match.group("iface")
             target = find("lo" if iface_name.startswith("lo") else iface_name)
             if target is not None:
-                target.ipv6_address = ipaddress.ip_address(v6_match.group("ip"))
+                target.ipv6_address = intern_address(addresses, v6_match.group("ip"))
                 target.ipv6_prefixlen = int(v6_match.group("plen"))
             continue
         match = _IFCONFIG.match(line)
@@ -87,7 +96,7 @@ def parse_startup(text: str, machine: str) -> list[InterfaceIntent]:
         iface = match.group("iface")
         if iface == "lo":
             continue
-        address = ipaddress.ip_address(match.group("ip"))
+        address = intern_address(addresses, match.group("ip"))
         prefixlen = ipaddress.ip_network(
             "0.0.0.0/%s" % match.group("mask")
         ).prefixlen
@@ -156,6 +165,10 @@ def parse_netkit_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
     over the engine's executors; the devices dict is assembled in
     sorted machine order either way, so the resulting intent is
     identical to a serial parse.
+
+    One intern table (address text to address object) lives for the
+    whole parse: an interface address and every BGP ``peer_ip`` naming
+    it are the same object, parsed once.
     """
     lab_dir = str(lab_dir)
     lab_conf_path = os.path.join(lab_dir, "lab.conf")
@@ -165,6 +178,7 @@ def parse_netkit_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
         wiring = parse_lab_conf(handle.read())
 
     lab = LabIntent(platform="netkit")
+    addresses: dict = {}
     machines = sorted(
         set(wiring)
         | {
@@ -175,25 +189,27 @@ def parse_netkit_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
     )
     for machine, device in parse_machines(
         machines,
-        lambda machine: _parse_machine(lab_dir, machine, wiring),
+        lambda machine: _parse_machine(lab_dir, machine, wiring, addresses),
         jobs=jobs,
     ):
         lab.devices[machine] = device
     return lab
 
 
-def _parse_machine(lab_dir: str, machine: str, wiring: dict) -> DeviceIntent:
+def _parse_machine(
+    lab_dir: str, machine: str, wiring: dict, addresses: dict
+) -> DeviceIntent:
     """Parse one machine's files — the independent unit of boot work."""
     device = DeviceIntent(name=machine, vendor="quagga")
     startup_path = os.path.join(lab_dir, "%s.startup" % machine)
     if os.path.exists(startup_path):
         with open(startup_path) as handle:
-            device.interfaces = parse_startup(handle.read(), machine)
+            device.interfaces = parse_startup(handle.read(), machine, addresses)
     for interface in device.interfaces:
         index = _interface_index(interface.name)
         if index is not None:
             interface.collision_domain = wiring.get(machine, {}).get(index)
-    _load_quagga(lab_dir, machine, device)
+    _load_quagga(lab_dir, machine, device, addresses)
     _load_services(lab_dir, machine, device)
     metric_inc("deploy.configs_parsed")
     return device
@@ -204,7 +220,9 @@ def _interface_index(name: str) -> int | None:
     return int(match.group(1)) if match else None
 
 
-def _load_quagga(lab_dir: str, machine: str, device: DeviceIntent) -> None:
+def _load_quagga(
+    lab_dir: str, machine: str, device: DeviceIntent, addresses: dict
+) -> None:
     """Parse one machine's quagga tree, collecting errors per device.
 
     A daemon config that fails to parse does not abort the whole lab
@@ -238,7 +256,7 @@ def _load_quagga(lab_dir: str, machine: str, device: DeviceIntent) -> None:
     if os.path.exists(bgpd_path):
         with open(bgpd_path) as handle:
             try:
-                device.bgp = parse_bgpd(handle.read(), bgpd_path)
+                device.bgp = parse_bgpd(handle.read(), bgpd_path, addresses)
             except ConfigParseError as exc:
                 device.boot_errors.append(exc)
     isisd_path = os.path.join(quagga_dir, "isisd.conf")

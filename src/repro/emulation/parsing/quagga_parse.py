@@ -112,122 +112,125 @@ def parse_isisd(text: str, filename: str = "isisd.conf") -> IsisIntent:
     return intent
 
 
-def parse_bgpd(text: str, filename: str = "bgpd.conf") -> BgpIntent:
-    """Parse a bgpd.conf: sessions, origination, and route-map policy."""
-    route_maps = _route_map_actions(text)
-    prefix_lists = _prefix_list_denies(text)
-    local_prefs = {name: actions["local_pref"] for name, actions in route_maps.items()
-                   if actions.get("local_pref") is not None}
-    asn_match = re.search(r"^router bgp\s+(\d+)", text, re.MULTILINE)
-    if asn_match is None:
-        raise ConfigParseError("no 'router bgp' stanza", filename)
-    intent = BgpIntent(asn=int(asn_match.group(1)))
-    in_router = False
+def intern_address(addresses: dict, text: str):
+    """The address object for ``text``, parsed once per ``addresses`` table."""
+    address = addresses.get(text)
+    if address is None:
+        address = addresses[text] = ipaddress.ip_address(text)
+    return address
+
+
+#: The ASN of a ``router bgp`` line, matched at the start of the raw line.
+_ROUTER_BGP = re.compile(r"router bgp\s+(\d+)")
+
+
+def parse_bgpd(
+    text: str, filename: str = "bgpd.conf", addresses: dict | None = None
+) -> BgpIntent:
+    """Parse a bgpd.conf: sessions, origination, and route-map policy.
+
+    One pass over the lines, dispatching on the first token (and on the
+    third for ``neighbor`` statements).  Route-map and prefix-list
+    references are resolved once the whole file is read, so a neighbour
+    may name a policy defined further down.  ``addresses`` maps address
+    text to address objects; a lab parse passes one table to every
+    file so each peer address is parsed once and shared.
+    """
+    if addresses is None:
+        addresses = {}
+    asn = None
+    intent = BgpIntent(asn=0)
     neighbors: dict[str, BgpNeighborIntent] = {}
+    # (neighbour, "route-map" | "prefix-list", policy name, "in" | "out")
+    references: list[tuple] = []
+    route_maps: dict[str, dict] = {}
+    prefix_lists: dict[str, list] = {}
+    current_map = None
+    in_router = False
+    misplaced = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("!"):
-            continue
-        if line.startswith("router bgp"):
-            in_router = True
-            continue
-        if line.startswith("route-map"):
-            in_router = False
-        if not in_router:
-            continue
-        if line.startswith("bgp router-id "):
-            intent.router_id = line.split()[-1]
-        elif line.startswith("network "):
-            intent.networks.append(ipaddress.ip_network(line.split()[1], strict=False))
-        elif line.startswith("neighbor "):
-            parts = line.split()
-            peer = parts[1]
-            if parts[2] == "remote-as":
-                neighbors[peer] = BgpNeighborIntent(
-                    peer_ip=ipaddress.ip_address(peer),
-                    remote_asn=int(parts[3]),
-                )
-            elif peer not in neighbors:
-                raise ConfigParseError(
-                    "neighbor %s configured before remote-as" % peer, filename, lineno
-                )
-            elif parts[2] == "description":
-                neighbors[peer].description = " ".join(parts[3:])
-            elif parts[2] == "update-source":
-                neighbors[peer].update_source = parts[3]
-            elif parts[2] == "next-hop-self":
-                neighbors[peer].next_hop_self = True
-            elif parts[2] == "route-reflector-client":
-                neighbors[peer].rr_client = True
-            elif parts[2] == "route-map" and parts[-1] == "in":
-                neighbors[peer].local_pref_in = local_prefs.get(parts[3])
-            elif parts[2] == "route-map" and parts[-1] == "out":
-                actions = route_maps.get(parts[3], {})
-                if actions.get("metric") is not None:
-                    neighbors[peer].med_out = actions["metric"]
-                neighbors[peer].prepend_out = actions.get("prepend", 0)
-                neighbors[peer].communities_out = actions.get("communities", ())
-            elif parts[2] == "prefix-list" and parts[-1] == "out":
-                neighbors[peer].deny_out = prefix_lists.get(parts[3], ())
-            elif parts[2] == "prefix-list" and parts[-1] == "in":
-                neighbors[peer].deny_in = prefix_lists.get(parts[3], ())
-    intent.neighbors = list(neighbors.values())
-    return intent
-
-
-def _route_map_actions(text: str) -> dict[str, dict]:
-    """Mapping of route-map name to its set actions.
-
-    Collected actions: ``local_pref``, ``metric`` (MED), and
-    ``prepend`` (number of ASNs in a ``set as-path prepend``).
-    """
-    actions: dict[str, dict] = {}
-    current = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("route-map ") and " permit " in line:
-            current = line.split()[1]
-            actions[current] = {}
-        elif current is None:
-            continue
-        elif line.startswith("set local-preference "):
-            actions[current]["local_pref"] = int(line.split()[-1])
-        elif line.startswith("set metric "):
-            actions[current]["metric"] = int(line.split()[-1])
-        elif line.startswith("set as-path prepend "):
-            actions[current]["prepend"] = len(line.split()[3:])
-        elif line.startswith("set community "):
-            members = [
-                token
-                for token in line.split()[2:]
-                if token != "additive"
-            ]
-            actions[current]["communities"] = tuple(members)
-    return actions
-
-
-def _route_map_local_prefs(text: str) -> dict[str, int]:
-    """Mapping of route-map name to the local-preference it sets."""
-    return {
-        name: acts["local_pref"]
-        for name, acts in _route_map_actions(text).items()
-        if acts.get("local_pref") is not None
-    }
-
-
-def _prefix_list_denies(text: str) -> dict[str, tuple]:
-    """Prefix-list deny entries: {list name: (denied networks, ...)}."""
-    denies: dict[str, list] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line.startswith("ip prefix-list "):
+        if not line or line[0] == "!":
             continue
         parts = line.split()
-        # ip prefix-list NAME seq N (deny|permit) CIDR [le N]
-        if len(parts) >= 6 and parts[5] == "deny":
-            denies.setdefault(parts[2], []).append(
-                ipaddress.ip_network(parts[6], strict=False)
-            )
+        head = parts[0]
+        if head == "neighbor":
+            if not in_router or misplaced is not None or len(parts) == 1:
+                continue
+            peer, attribute = parts[1], parts[2]
+            if attribute == "remote-as":
+                neighbors[peer] = BgpNeighborIntent(
+                    peer_ip=intern_address(addresses, peer), remote_asn=int(parts[3])
+                )
+                continue
+            neighbor = neighbors.get(peer)
+            if neighbor is None:
+                misplaced = ConfigParseError(
+                    "neighbor %s configured before remote-as" % peer, filename, lineno
+                )
+            elif attribute == "description":
+                neighbor.description = " ".join(parts[3:])
+            elif attribute == "update-source":
+                neighbor.update_source = parts[3]
+            elif attribute == "next-hop-self":
+                neighbor.next_hop_self = True
+            elif attribute == "route-reflector-client":
+                neighbor.rr_client = True
+            elif attribute in ("route-map", "prefix-list") and parts[-1] in ("in", "out"):
+                references.append((neighbor, attribute, parts[3], parts[-1]))
+        elif head == "set":
+            if current_map is None or len(parts) < 3:
+                continue
+            action = parts[1]
+            if action == "local-preference":
+                current_map["local_pref"] = int(parts[-1])
+            elif action == "metric":
+                current_map["metric"] = int(parts[-1])
+            elif action == "as-path" and parts[2] == "prepend" and len(parts) > 3:
+                current_map["prepend"] = len(parts) - 3
+            elif action == "community":
+                current_map["communities"] = tuple(
+                    token for token in parts[2:] if token != "additive"
+                )
+        elif line.startswith("router bgp"):
+            in_router = True
+            if asn is None:
+                match = _ROUTER_BGP.match(raw)
+                if match is not None:
+                    asn = int(match.group(1))
+        elif line.startswith("route-map"):
+            in_router = False
+            if head == "route-map" and " permit " in line:
+                current_map = route_maps[parts[1]] = {}
+        elif head == "ip" and len(parts) > 2 and parts[1] == "prefix-list":
+            # ip prefix-list NAME seq N (deny|permit) CIDR [le N]
+            entries = prefix_lists.setdefault(parts[2], [])
+            if len(parts) >= 6 and parts[5] == "deny":
+                entries.append(ipaddress.ip_network(parts[6], strict=False))
+        elif in_router and misplaced is None:
+            if head == "network" and len(parts) > 1:
+                intent.networks.append(ipaddress.ip_network(parts[1], strict=False))
+            elif line.startswith("bgp router-id "):
+                intent.router_id = parts[-1]
+    if asn is None:
+        raise ConfigParseError("no 'router bgp' stanza", filename)
+    if misplaced is not None:
+        raise misplaced
+    intent.asn = asn
+    denies = {name: tuple(entries) for name, entries in prefix_lists.items()}
+    for neighbor, attribute, name, direction in references:
+        if attribute == "prefix-list":
+            if direction == "out":
+                neighbor.deny_out = denies.get(name, ())
+            else:
+                neighbor.deny_in = denies.get(name, ())
+        elif direction == "in":
+            neighbor.local_pref_in = route_maps.get(name, {}).get("local_pref")
         else:
-            denies.setdefault(parts[2], [])
-    return {name: tuple(entries) for name, entries in denies.items()}
+            actions = route_maps.get(name, {})
+            if actions.get("metric") is not None:
+                neighbor.med_out = actions["metric"]
+            neighbor.prepend_out = actions.get("prepend", 0)
+            neighbor.communities_out = actions.get("communities", ())
+    intent.neighbors = list(neighbors.values())
+    return intent

@@ -36,23 +36,47 @@ def stable_hash(value: Any) -> str:
 
 
 class ConfigStanza:
-    """A nested attribute namespace backed by a plain dict."""
+    """A nested attribute namespace; its fields are the instance ``__dict__``.
+
+    Reading a set field is a plain attribute lookup (the templates read
+    millions of them per paper-scale render); ``__getattr__`` only runs
+    for names that were never set.  A field may not take a name the
+    class already defines (``get``, ``to_dict``, ``interface``, ...):
+    it would be shadowed on one side or shadow a method on the other.
+    """
+
+    #: Names a field may not take: everything the class defines.
+    _RESERVED: frozenset = frozenset()
+
+    def __init_subclass__(cls, **kwargs: Any):
+        super().__init_subclass__(**kwargs)
+        cls._RESERVED = frozenset(dir(cls))
 
     def __init__(self, **attrs: Any):
-        object.__setattr__(
-            self, "_data", {name: _stanzify(value) for name, value in attrs.items()}
-        )
+        _refuse_reserved(type(self), attrs)
+        data = self.__dict__
+        for name, value in attrs.items():
+            data[name] = _stanzify(value)
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("__"):
             raise AttributeError(name)
-        return self._data.get(name)
+        return None
 
     def __setattr__(self, name: str, value: Any) -> None:
-        self._data[name] = _stanzify(value)
+        if name in self._RESERVED:
+            _refuse_reserved(type(self), (name,))
+        self.__dict__[name] = _stanzify(value)
+
+    def __setstate__(self, state: Any) -> None:
+        # pickle and copy restore fields (and DeviceModel's slot) here
+        fields, slots = state if isinstance(state, tuple) else (state, None)
+        self.__dict__.update(fields or ())
+        for name, value in (slots or {}).items():
+            object.__setattr__(self, name, value)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._data
+        return name in self.__dict__
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, ConfigStanza):
@@ -60,26 +84,39 @@ class ConfigStanza:
         return NotImplemented
 
     def get(self, name: str, default: Any = None) -> Any:
-        return self._data.get(name, default)
+        return self.__dict__.get(name, default)
 
     def require(self, name: str) -> Any:
         """Like ``get`` but raises when the compiler forgot to set it."""
-        if name not in self._data:
+        if name not in self.__dict__:
             raise CompilerError("required attribute %r was never compiled" % name)
-        return self._data[name]
+        return self.__dict__[name]
 
     def setdefault(self, name: str, value: Any) -> Any:
-        return self._data.setdefault(name, _stanzify(value))
+        if name not in self.__dict__:
+            setattr(self, name, value)
+        return self.__dict__[name]
 
     def to_dict(self) -> dict:
         """Recursively convert to plain dicts/lists (the §5.4 dump)."""
-        return _plain(self._data)
+        return _plain(self.__dict__)
 
     def to_json(self, **kwargs: Any) -> str:
         return json.dumps(self.to_dict(), default=str, **kwargs)
 
     def __repr__(self) -> str:
-        return "ConfigStanza(%s)" % ", ".join(sorted(self._data))
+        return "ConfigStanza(%s)" % ", ".join(sorted(self.__dict__))
+
+
+ConfigStanza._RESERVED = frozenset(dir(ConfigStanza))
+
+
+def _refuse_reserved(cls: type, names: Iterable) -> None:
+    if not cls._RESERVED.isdisjoint(names):
+        clash = sorted(map(str, cls._RESERVED.intersection(names)))
+        raise CompilerError(
+            "field name %r would shadow %s.%s" % (clash[0], cls.__name__, clash[0])
+        )
 
 
 #: Leaf types stored as they are; almost every compiled value is one.
@@ -90,8 +127,9 @@ def _stanzify(value: Any) -> Any:
     if type(value) in _SCALARS:
         return value
     if isinstance(value, dict):
+        _refuse_reserved(ConfigStanza, value)
         stanza = ConfigStanza()
-        data = stanza._data
+        data = stanza.__dict__
         for name, inner in value.items():
             data[name] = _stanzify(inner)
         return stanza
@@ -102,7 +140,7 @@ def _stanzify(value: Any) -> Any:
 
 def _plain(value: Any) -> Any:
     if isinstance(value, ConfigStanza):
-        return _plain(value._data)
+        return _plain(value.__dict__)
     if isinstance(value, dict):
         return {name: _plain(inner) for name, inner in value.items()}
     if isinstance(value, (list, tuple)):
@@ -111,7 +149,13 @@ def _plain(value: Any) -> Any:
 
 
 class DeviceModel(ConfigStanza):
-    """One device's compiled state: a stanza with an id and interfaces."""
+    """One device's compiled state: a stanza with an id and interfaces.
+
+    ``node_id`` is a slot, not a field: it is not part of ``to_dict()``
+    and enters ``fingerprint()`` only as the explicit ``id``.
+    """
+
+    __slots__ = ("node_id",)
 
     def __init__(self, node_id, **attrs: Any):
         super().__init__(**attrs)

@@ -194,13 +194,24 @@ def topology_render_jobs(topology, devices) -> list[RenderJob]:
     return jobs
 
 
-def write_job(result: RenderResult, lab_dir: str, job: RenderJob) -> str:
-    """Write one job under the lab directory; returns the output path."""
+def write_job(
+    result: RenderResult, lab_dir: str, job: RenderJob, made_dirs: set | None = None
+) -> str:
+    """Write one job under the lab directory; returns the output path.
+
+    ``made_dirs`` is the set of directories this render run already
+    created: a directory in it is not made again.
+    """
     out_path = os.path.join(lab_dir, job.path)
+    directory = os.path.dirname(out_path)
+    if made_dirs is None:
+        made_dirs = set()
+    if directory not in made_dirs:
+        os.makedirs(directory, exist_ok=True)
+        made_dirs.add(directory)
     if job.text is not None:
         _write(result, out_path, job.text)
     else:
-        os.makedirs(os.path.dirname(out_path), exist_ok=True)
         shutil.copyfile(job.source, out_path)
         result.files.append(out_path)
         result.total_bytes += os.path.getsize(out_path)
@@ -236,16 +247,17 @@ def render_nidb(nidb: Nidb, output_dir: str | os.PathLike) -> RenderResult:
     lab_dir = os.path.join(output_dir, host, platform)
     devices = sorted(nidb.nodes(), key=lambda device: str(device.node_id))
     result = RenderResult(output_dir=output_dir, lab_dir=lab_dir)
+    made_dirs: set[str] = set()
 
     for device in devices:
         if not device.render:
             continue
         with span("render.%s" % device.hostname, device=str(device.node_id)):
             for job in device_render_jobs(device, nidb.topology, devices):
-                write_job(result, lab_dir, job)
+                write_job(result, lab_dir, job, made_dirs)
 
     for job in topology_render_jobs(nidb.topology, devices):
-        write_job(result, lab_dir, job)
+        write_job(result, lab_dir, job, made_dirs)
 
     result.elapsed_seconds = time.perf_counter() - started
     return result
@@ -293,7 +305,6 @@ def _entry(entry) -> tuple[str, str]:
 
 
 def _write(result: RenderResult, path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as handle:
         handle.write(text)
     result.files.append(path)

@@ -123,6 +123,18 @@ class TestNetkitLabParse:
         with pytest.raises(ConfigParseError, match="lab.conf"):
             parse_netkit_lab(tmp_path)
 
+    def test_equal_addresses_are_one_object(self, rendered):
+        lab = parse_netkit_lab(rendered["netkit"].lab_dir)
+        interfaces = [i.ip_address for d in lab.devices.values() for i in d.interfaces]
+        peers = [n.peer_ip for d in lab.devices.values() if d.bgp for n in d.bgp.neighbors]
+        seen = {}
+        for address in interfaces + peers:
+            if address is not None:
+                seen.setdefault(str(address), set()).add(id(address))
+        assert all(len(ids) == 1 for ids in seen.values())
+        # a session's peer address is the peer interface's own object
+        assert any(id(peer) in map(id, interfaces) for peer in peers)
+
 
 class TestDynagenLabParse:
     def test_all_routers_found(self, rendered):
