@@ -82,53 +82,3 @@ def test_campaign_throughput():
             ),
         }
     )
-
-
-def _deploying_spec(name, **engine_knobs):
-    spec = {
-        "name": name,
-        "topologies": ["fig5"],
-        "platforms": ["netkit"],
-        "deploy": True,
-        "overrides": [{"max_rounds": 10 + index} for index in range(VARIANTS)],
-    }
-    spec.update(engine_knobs)
-    return spec
-
-
-def test_campaign_fast_vs_reference_emulation():
-    """Deploying campaigns under the fast vs reference control planes.
-
-    Same six trials, emulation included: the fast run uses the default
-    engines plus ``boot_jobs`` fan-out, the reference run forces the
-    naive oracles (full SPF, round-based BGP, serial boot).  Reports
-    trials/min for both into the shared pipeline record.
-    """
-    import os
-
-    fast = _throughput(
-        _deploying_spec("bench_fast_cp", boot_jobs=min(4, os.cpu_count() or 1))
-    )
-    reference = _throughput(
-        _deploying_spec(
-            "bench_reference_cp", spf_mode="full", bgp_mode="rounds"
-        )
-    )
-    speedup = fast["trials_per_min"] / reference["trials_per_min"]
-    record(
-        "campaign_fast_vs_reference",
-        [
-            "fast       %(trials)d trials in %(seconds).2fs -> "
-            "%(trials_per_min).1f trials/min" % fast,
-            "reference  %(trials)d trials in %(seconds).2fs -> "
-            "%(trials_per_min).1f trials/min" % reference,
-            "emulation fast-path speedup %.2fx" % speedup,
-        ],
-    )
-    update_pipeline_record(
-        campaign_emulation={
-            "fast": fast,
-            "reference": reference,
-            "speedup": round(speedup, 2),
-        }
-    )

@@ -20,7 +20,6 @@ import pytest
 
 from repro.compilers import platform_compiler
 from repro.design import design_network
-from repro.emulation import EmulatedLab
 from repro.engine import BuildEngine
 from repro.loader import european_nren_model
 from repro.render import render_nidb
@@ -170,79 +169,3 @@ def test_nren_engine_serial_parallel_warm():
     )
     update_pipeline_record(engine=rows)
     assert parallel_report.devices_total == serial_report.devices_total
-
-
-def test_nren_emulation_fast_vs_reference():
-    """Control-plane engines at NREN scale: fast paths vs oracles.
-
-    Boots the rendered NREN lab with the default engines (incremental
-    SPF, event-driven BGP, parallel boot) and with the naive reference
-    engines, then flaps a backbone link on each running lab.  Both must
-    land on identical BGP state; the timings quantify what the fast
-    paths are worth on a hundred-router fabric.
-    """
-    scale = 0.1
-    graph = european_nren_model(scale=scale)
-    anm = design_network(graph)
-    nidb = platform_compiler("netkit", anm).compile()
-    rendered = render_nidb(nidb, tempfile.mkdtemp(prefix="nren_cp_"))
-    jobs = os.cpu_count() or 1
-
-    modes = {
-        "fast": dict(jobs=jobs),
-        "reference": dict(spf_mode="full", bgp_mode="rounds"),
-    }
-    rows = {}
-    labs = {}
-    for label, options in modes.items():
-        started = time.perf_counter()
-        lab = EmulatedLab.boot(rendered.lab_dir, **options)
-        boot_seconds = time.perf_counter() - started
-
-        machines = sorted(lab.network.machines)
-        flap = None
-        for machine in machines:
-            neighbors = lab.network.neighbors_of(machine)
-            if neighbors:
-                flap = (machine, neighbors[0])
-                break
-        started = time.perf_counter()
-        for _ in range(3):
-            lab.link_down(*flap)
-            lab.link_up(*flap)
-        fault_seconds = time.perf_counter() - started
-        rows[label] = {
-            "boot_seconds": round(boot_seconds, 4),
-            "fault_cycle_seconds": round(fault_seconds, 4),
-            "converged": lab.converged,
-        }
-        labs[label] = lab
-
-    assert labs["fast"].bgp_result.selected == labs["reference"].bgp_result.selected
-    boot_speedup = rows["reference"]["boot_seconds"] / max(
-        rows["fast"]["boot_seconds"], 1e-9
-    )
-    fault_speedup = rows["reference"]["fault_cycle_seconds"] / max(
-        rows["fast"]["fault_cycle_seconds"], 1e-9
-    )
-    record(
-        "E3_nren_control_plane",
-        [
-            "NREN @%.2f scale (%d routers, %d jobs), identical final state:"
-            % (scale, graph.number_of_nodes(), jobs),
-            "  fast       boot %(boot_seconds).3fs  link flaps %(fault_cycle_seconds).3fs" % rows["fast"],
-            "  reference  boot %(boot_seconds).3fs  link flaps %(fault_cycle_seconds).3fs" % rows["reference"],
-            "  speedup: boot %.2fx, fault cycles %.2fx" % (boot_speedup, fault_speedup),
-        ],
-    )
-    update_pipeline_record(
-        control_plane_nren={
-            "scale": scale,
-            "routers": graph.number_of_nodes(),
-            "jobs": jobs,
-            "fast": rows["fast"],
-            "reference": rows["reference"],
-            "boot_speedup": round(boot_speedup, 2),
-            "fault_cycle_speedup": round(fault_speedup, 2),
-        }
-    )

@@ -812,8 +812,6 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
         _maybe_hang(overrides, "deploy")
         max_rounds = int(overrides.get("max_rounds", 64))
         boot_jobs = int(overrides.get("boot_jobs", payload.get("boot_jobs", 1)))
-        spf_mode = str(overrides.get("spf_mode", "auto"))
-        bgp_mode = str(overrides.get("bgp_mode", "events"))
         with telemetry.span("deploy", trial=payload["trial_id"]):
             lab = retry_call(
                 lambda: EmulatedLab.boot(
@@ -821,8 +819,6 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
                     max_rounds=max_rounds,
                     strict=False,
                     jobs=boot_jobs,
-                    spf_mode=spf_mode,
-                    bgp_mode=bgp_mode,
                 ),
                 policy=policy,
                 operation="campaign.deploy",
@@ -875,8 +871,6 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
                     max_rounds=max_rounds,
                     strict=False,
                     jobs=boot_jobs,
-                    spf_mode=spf_mode,
-                    bgp_mode=bgp_mode,
                 )
                 equivalence = verify_equivalence(lab, fresh)
                 record["liveupdate"]["equivalent"] = equivalence.ok

@@ -65,14 +65,46 @@ KNOWN_OVERRIDES = (
     "inject_fault",   # force this trial to fail at a stage (chaos hook)
     "lab_name",       # deployment lab name (str)
     "boot_jobs",      # per-trial boot fan-out width (int, default 1)
-    "spf_mode",       # IGP recomputation: auto (default) | incremental | full
-    "bgp_mode",       # BGP scheduling: events (default) | rounds
     "traffic_seed",   # seed for the trial's traffic engine (int, default 0)
     "inject_hang",    # force this trial to hang at a stage (chaos hook)
     "hang_seconds",   # how long an injected hang sleeps (float, default 30)
     "trial_deadline_s",  # per-trial wall-clock budget override (float)
     "verify_live",    # check live-applied delta ≡ fresh boot (bool, default true)
 )
+
+#: Top-level keys a spec may carry; anything else is a spec typo.
+KNOWN_SPEC_KEYS = (
+    "name",
+    "description",       # free text, not read
+    "directory",
+    "topologies",
+    "platforms",
+    "rule_sets",
+    "fault_schedules",
+    "traffic_profiles",
+    "design_deltas",
+    "overrides",
+    "trials",
+    "max_rounds",        # the trial defaults below
+    "deploy",
+    "reachability",
+    "boot_jobs",
+    "trial_deadline_s",  # supervision settings, outside the trial hashes
+    "phase_deadlines",
+    "stall_after_s",
+)
+
+#: Top-level keys that seed every trial's overrides.
+_TRIAL_DEFAULT_KEYS = ("max_rounds", "deploy", "reachability", "boot_jobs")
+
+#: Override values that are checked, not coerced: key -> JSON type.
+_TYPED_VALUES = {
+    "max_rounds": int,
+    "boot_jobs": int,
+    "deploy": bool,
+    "reachability": bool,
+    "verify_live": bool,
+}
 
 #: Stages ``inject_fault`` may name.
 INJECTABLE_STAGES = ("build", "deploy", "measure")
@@ -166,6 +198,12 @@ class CampaignSpec:
     def from_dict(cls, data: dict, base_dir: str | None = None) -> "CampaignSpec":
         if not isinstance(data, dict):
             raise CampaignError("campaign spec must be a JSON object")
+        unknown = sorted(set(data) - set(KNOWN_SPEC_KEYS))
+        if unknown:
+            raise CampaignError(
+                "unknown campaign spec key(s) %s (choose from %s)"
+                % (", ".join(map(repr, unknown)), ", ".join(KNOWN_SPEC_KEYS))
+            )
         base_dir = base_dir or os.getcwd()
         name = data.get("name")
         if not name:
@@ -304,20 +342,23 @@ def _string_list(data: dict, key: str) -> list[str]:
 
 def _trial_defaults(data: dict) -> dict:
     """Top-level spec keys that seed every trial's overrides."""
-    defaults: dict = {}
-    if "max_rounds" in data:
-        defaults["max_rounds"] = int(data["max_rounds"])
-    if "deploy" in data:
-        defaults["deploy"] = bool(data["deploy"])
-    if "reachability" in data:
-        defaults["reachability"] = bool(data["reachability"])
-    if "boot_jobs" in data:
-        defaults["boot_jobs"] = int(data["boot_jobs"])
-    if "spf_mode" in data:
-        defaults["spf_mode"] = str(data["spf_mode"])
-    if "bgp_mode" in data:
-        defaults["bgp_mode"] = str(data["bgp_mode"])
-    return defaults
+    return _check_values(
+        {key: data[key] for key in _TRIAL_DEFAULT_KEYS if key in data}
+    )
+
+
+def _check_values(overrides: dict) -> dict:
+    """Reject typed values of the wrong JSON type instead of coercing:
+    ``bool("false")`` is true and ``"abc"`` only fails at deploy."""
+    for key, value in overrides.items():
+        expected = _TYPED_VALUES.get(key)
+        # exact type: bool is an int subclass, neither stands in for the other
+        if expected is not None and type(value) is not expected:
+            raise CampaignError(
+                "%r must be a JSON %s, got %r"
+                % (key, "boolean" if expected is bool else "integer", value)
+            )
+    return overrides
 
 
 def _positive_or_none(data: dict, key: str) -> Optional[float]:
@@ -365,7 +406,7 @@ def _check_overrides(overrides: dict) -> dict:
                 "%s must name a stage (%s), got %r"
                 % (hook, ", ".join(INJECTABLE_STAGES), stage)
             )
-    return overrides
+    return _check_values(overrides)
 
 
 def _make_trial(

@@ -201,25 +201,6 @@ def _add_emulation_options(sub: argparse.ArgumentParser) -> None:
         help="fan config parsing and per-VM bring-up over N workers "
         "(default 1: serial)",
     )
-    emulation.add_argument(
-        "--spf-mode", choices=("auto", "incremental", "full"), default="auto",
-        help="IGP recomputation on topology events: auto picks by "
-        "topology size (default), incremental forces delta invalidation, "
-        "full is the recompute-everything reference oracle",
-    )
-    emulation.add_argument(
-        "--bgp-mode", choices=("events", "rounds"), default="events",
-        help="BGP scheduling: event-driven pending-update queues "
-        "(default) or the synchronous-rounds reference oracle",
-    )
-
-
-def _boot_options(args) -> dict:
-    return {
-        "jobs": getattr(args, "jobs", 1),
-        "spf_mode": getattr(args, "spf_mode", "auto"),
-        "bgp_mode": getattr(args, "bgp_mode", "events"),
-    }
 
 
 # -- per-subcommand extras ---------------------------------------------------
@@ -985,7 +966,7 @@ def _cmd_deploy(args, out: CliOutput) -> int:
             monitor=monitor,
             retry_policy=_retry_policy(args),
             strict=args.strict,
-            **_boot_options(args),
+            jobs=args.jobs,
         )
     lab = record.lab
     status = (
@@ -1022,7 +1003,7 @@ def _cmd_measure(args, out: CliOutput) -> int:
             result.lab_dir,
             retry_policy=_retry_policy(args),
             strict=args.strict,
-            **_boot_options(args),
+            jobs=args.jobs,
         )
     client = MeasurementClient(record.lab, nidb, retry_policy=_retry_policy(args))
     hosts = args.hosts or [str(device.node_id) for device in nidb.routers()]
@@ -1102,7 +1083,7 @@ def _cmd_whatif(args, out: CliOutput) -> int:
             result.lab_dir,
             retry_policy=_retry_policy(args),
             strict=args.strict,
-            **_boot_options(args),
+            jobs=args.jobs,
         ).lab
     with span("whatif.compare"):
         before = reachability_matrix(lab)
@@ -1152,7 +1133,7 @@ def _cmd_chaos(args, out: CliOutput) -> int:
             result.lab_dir,
             retry_policy=_retry_policy(args),
             strict=args.strict,
-            **_boot_options(args),
+            jobs=args.jobs,
         ).lab
     report = apply_schedule(lab, schedule)
     for line in report.summary().splitlines():
@@ -1198,7 +1179,7 @@ def _cmd_traffic(args, out: CliOutput) -> int:
             result.lab_dir,
             retry_policy=_retry_policy(args),
             strict=args.strict,
-            **_boot_options(args),
+            jobs=args.jobs,
         ).lab
     out.emit(
         "lab up: %d machines; offering profile %r for %.1fs (seed %d)"
@@ -1336,9 +1317,8 @@ def _cmd_apply(args, out: CliOutput) -> int:
         out.result(applied=False)
         return 0
 
-    boot_options = _boot_options(args)
     with span("liveupdate.boot_source"):
-        lab = EmulatedLab.boot(delta.old_dir, strict=args.strict, **boot_options)
+        lab = EmulatedLab.boot(delta.old_dir, strict=args.strict, jobs=args.jobs)
     report = apply_plan(
         lab, plan,
         journal_dir=args.journal_dir,
@@ -1351,7 +1331,7 @@ def _cmd_apply(args, out: CliOutput) -> int:
     if args.verify or args.rollback:
         with span("liveupdate.boot_oracle"):
             fresh = EmulatedLab.boot(
-                delta.new_dir, strict=args.strict, **boot_options
+                delta.new_dir, strict=args.strict, jobs=args.jobs
             )
         equivalence = verify_equivalence(lab, fresh)
         out.emit("verify: %s" % equivalence.summary())
@@ -1367,7 +1347,7 @@ def _cmd_apply(args, out: CliOutput) -> int:
         out.emit("rollback: %s" % rollback_report.summary())
         with span("liveupdate.boot_original"):
             original = EmulatedLab.boot(
-                delta.old_dir, strict=args.strict, **boot_options
+                delta.old_dir, strict=args.strict, jobs=args.jobs
             )
         restored = verify_equivalence(lab, original)
         out.emit("rollback verify: %s" % restored.summary())

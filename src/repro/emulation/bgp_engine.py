@@ -1,50 +1,44 @@
 """BGP decision-process engine with per-vendor semantics (§7.2).
 
-The engine runs a deterministic synchronous-round simulation: each
-round every router advertises its current best route over every
-session (route-reflection export rules applied), then all routers
-re-run the decision process on the freshly delivered Adj-RIB-In.
-Withdrawals are implicit — the Adj-RIB-In is rebuilt every round.
+The engine computes the fixpoint of a deterministic synchronous-round
+model: each round every router advertises its current best route over
+every session (route-reflection export rules applied), then all
+routers re-run the decision process on the freshly delivered
+Adj-RIB-In.  Withdrawals are implicit — a route not re-delivered is
+gone.
 
-Two scheduling modes implement those semantics
-(:class:`BgpSimulation` ``bgp_mode``):
+The schedule is event-driven: it keeps a persistent Adj-RIB-In and two
+pending queues, so only routers whose selection changed last round
+re-export, and only (receiver, prefix) pairs whose incoming
+contributions changed re-run the decision process.  Quiescent routers
+do no work, yet every per-round global selection state — and therefore
+every convergence/oscillation verdict, period, and history snapshot —
+is bit-identical to the naive schedule that rebuilds every Adj-RIB-In
+from scratch each round.  That naive schedule is the oracle; it lives
+with the differential tests in ``tests/emulation/control_plane_oracle.py``,
+which assert both agree on final state, verdicts and per-round history
+under random topologies, fault schedules and synthetic policy mixes.
 
-* ``"events"`` (the default) keeps a persistent Adj-RIB-In and two
-  pending queues: only routers whose selection changed last round
-  re-export, and only (receiver, prefix) pairs whose incoming
-  contributions changed re-run the decision process.  Quiescent
-  routers do no work, yet every per-round global selection state — and
-  therefore every convergence/oscillation verdict, period, and history
-  snapshot — is bit-identical to the reference schedule.
-
-  A re-export is computed per **update group**, not per session.  At
-  ``rebuild`` each sender's sessions are partitioned by the values the
-  export->import pipeline reads: for iBGP the sender side's
-  ``next-hop-self`` and ``route-reflector-client`` flags and the
-  receiver side's ``route-reflector-client`` flag and peer address; an
-  eBGP session is a group of one (its outcome depends on the session's
-  own addresses and policy).  The pipeline (export check, export,
-  import policy, interning) runs once per (sender, route, group) and
-  is memoised; each member peer then costs only the two loop checks —
-  never back to the peer the route was learned from, never back to its
-  originator — and the Adj-RIB-In store.  A 400-router full mesh thus
-  builds each router's advert once instead of 399 times.  Groups keep
-  session order, so with parallel sessions to one peer the last one
-  still wins, as in the reference.  Imported routes are interned, so
-  identical paths are shared across RIBs and history snapshots instead
-  of reallocated each round.
-* ``"rounds"`` is the reference oracle: the Adj-RIB-In is rebuilt from
-  scratch every round, every router re-decides everything, and the
-  pipeline runs per session with no grouping and no memo.  The
-  differential test layer asserts both modes agree on final state
-  hashes under random topologies, fault schedules and synthetic
-  policy mixes.
+A re-export is computed per **update group**, not per session.  At
+``rebuild`` each sender's sessions are partitioned by the values the
+export->import pipeline reads: for iBGP the sender side's
+``next-hop-self`` and ``route-reflector-client`` flags and the receiver
+side's ``route-reflector-client`` flag and peer address; an eBGP session
+is a group of one (its outcome depends on the session's own addresses
+and policy).  The pipeline (export check, export, import policy,
+interning) runs once per (sender, route, group) and is memoised; each
+member peer then costs only the two loop checks — never back to the
+peer the route was learned from, never back to its originator — and
+the Adj-RIB-In store.  A 400-router full mesh thus builds each router's
+advert once instead of 399 times.  Groups keep session order, so with
+parallel sessions to one peer the last one still wins, as in the
+oracle.  Imported routes are interned, so identical paths are shared
+across RIBs and history snapshots instead of reallocated each round.
 
 ``bgp.messages`` counts update messages on the wire — one per session
 and prefix delivered, whether or not the receiver's import policy
-keeps it — and so is independent of the grouping: in rounds mode every
-(session, prefix) advertisement of every round, in events mode only
-the re-advertisements of changed selections.  ``bgp.routes_interned``
+keeps it — and so is independent of the grouping: only the
+re-advertisements of changed selections are sent.  ``bgp.routes_interned``
 / ``bgp.route_pool_hits`` (pipeline runs that built a new / an already
 pooled route) and ``bgp.advert_cache_hits`` (runs the memo saved) *are*
 per group; they are kept in plain integers while the schedule runs and
@@ -85,7 +79,6 @@ from typing import Optional
 from repro.emulation.intent import BgpNeighborIntent
 from repro.emulation.network import EmulatedNetwork
 from repro.emulation.ospf_engine import IgpState
-from repro.exceptions import EmulationError
 from repro.observability import (
     INFO,
     WARNING,
@@ -96,9 +89,6 @@ from repro.observability import (
 )
 
 _ORIGIN_RANK = {"igp": 0, "egp": 1, "incomplete": 2}
-
-#: Recognised :class:`BgpSimulation` scheduling modes.
-BGP_MODES = ("events", "rounds")
 
 
 @dataclass(frozen=True)
@@ -246,23 +236,15 @@ class BgpSimulation:
         igp: IgpState,
         vendor_overrides: Optional[dict[str, str]] = None,
         keep_history: bool = True,
-        bgp_mode: str = "events",
     ):
-        if bgp_mode not in BGP_MODES:
-            raise EmulationError(
-                "unknown bgp_mode %r (choose from %s)"
-                % (bgp_mode, ", ".join(BGP_MODES))
-            )
         self.network = network
         self.igp = igp
         self.keep_history = keep_history
-        self.bgp_mode = bgp_mode
         self._vendor_overrides = dict(vendor_overrides or {})
         #: Intern pool: identical routes are shared across RIBs,
         #: selections, and history snapshots instead of reallocated.
         self._route_pool: dict[BgpRoute, BgpRoute] = {}
-        #: Memo for the export->import pipeline (event schedule only),
-        #: keyed (sender, update-group key, route, eBGP session
+        #: Memo for the export->import pipeline, keyed (sender, update-group key, route, eBGP session
         #: address).  Survives ``rebuild`` across fault cycles (faults
         #: change topology, never config), but entries touching a
         #: machine whose BGP-relevant config changed — a live update
@@ -544,13 +526,9 @@ class BgpSimulation:
         return pooled
 
     # -- export / import ----------------------------------------------------
-    def _can_export(self, route: BgpRoute, session: Session) -> bool:
-        if route.learned_from == session.peer:
-            return False
-        return self._export_policy(route, session)
-
     def _export_policy(self, route: BgpRoute, session: Session) -> bool:
-        """The export check minus the per-peer split-horizon test."""
+        """The export check minus the per-peer split-horizon test
+        (never back to the peer the route was learned from)."""
         if session.is_ebgp:
             denied = getattr(session.intent, "deny_out", ()) or ()
             if any(route.prefix == net or net.supernet_of(route.prefix) for net in denied):
@@ -606,16 +584,11 @@ class BgpSimulation:
                     return interface.ip_address
         return device.loopback
 
-    def _import(self, receiver: str, sender: str, route: BgpRoute, session: Session):
-        """Apply receive-side checks and policy; None means rejected."""
-        if not session.is_ebgp and route.originator == receiver:
-            return None  # reflection loop back to the originator
-        return self._import_policy(receiver, sender, route, session)
-
     def _import_policy(
         self, receiver: str, sender: str, route: BgpRoute, session: Session
     ):
-        """The import minus the per-peer originator check."""
+        """Receive-side checks and policy minus the per-peer originator
+        check; None means rejected."""
         device = self.network.machines[receiver]
         vendor = self.vendors[receiver]
         receiving_intent = self._intent_of.get((receiver, sender))
@@ -669,8 +642,7 @@ class BgpSimulation:
         input — everything else is config values that survive topology
         deltas), the outcome is a pure function of (sender, group,
         route), so a fault cycle that revisits earlier selections skips
-        the policy evaluation and route construction entirely.  Only the
-        event schedule calls this; the reference schedule stays naive.
+        the policy evaluation and route construction entirely.
         """
         session = group.session
         anchor = self._session_address(sender, session) if session.is_ebgp else None
@@ -785,10 +757,7 @@ class BgpSimulation:
         carrying the period, and ``bgp.period`` = 0 means the run hit
         ``max_rounds`` undetermined.
         """
-        if self.bgp_mode == "rounds":
-            result = self._simulate_rounds(max_rounds, resume_from=resume_from)
-        else:
-            result = self._simulate_events(max_rounds, resume_from=resume_from)
+        result = self._simulate_events(max_rounds, resume_from=resume_from)
         self._flush_counts()
         metric_inc("bgp.rounds", result.rounds)
         metric_inc("bgp.messages", result.messages)
@@ -840,77 +809,6 @@ class BgpSimulation:
                         merged[prefix] = route
                 selected[name] = merged
         return selected
-
-    def _simulate_rounds(
-        self, max_rounds: int, resume_from: Optional[dict] = None
-    ) -> BgpResult:
-        """The reference schedule: full Adj-RIB-In rebuild every round."""
-        selected = self._seed_selected(resume_from)
-        seen: dict[tuple, int] = {}
-        history: list[dict] = []
-        messages = 0
-
-        for round_index in range(max_rounds + 1):
-            state = self._state_key(selected)
-            if self.keep_history:
-                history.append(self._snapshot(selected))
-            if state in seen:
-                # A revisit after exactly one transition is a fixpoint
-                # (the state mapped to itself); a longer period is a
-                # persistent oscillation.
-                period = round_index - seen[state]
-                converged = period == 1
-                return BgpResult(
-                    converged=converged,
-                    oscillating=not converged,
-                    rounds=round_index,
-                    period=0 if converged else period,
-                    detected_period=period,
-                    selected=selected,
-                    history=history,
-                    session_warnings=list(self.warnings),
-                    messages=messages,
-                )
-            seen[state] = round_index
-
-            rib_in: dict[str, dict] = {name: {} for name in self.network.machines}
-            for name, session_list in self.sessions.items():
-                for session in session_list:
-                    for prefix, route in selected.get(name, {}).items():
-                        if not self._can_export(route, session):
-                            continue
-                        advert = self._export(name, route, session)
-                        imported = self._import(session.peer, name, advert, session)
-                        messages += 1
-                        if imported is not None:
-                            rib_in[session.peer][(name, prefix)] = imported
-
-            new_selected: dict[str, dict] = {}
-            for name, device in self.network.machines.items():
-                if device.bgp is None:
-                    continue
-                candidates_by_prefix: dict = {}
-                for prefix, route in self.local_routes.get(name, {}).items():
-                    candidates_by_prefix.setdefault(prefix, []).append(route)
-                for (_, prefix), route in rib_in.get(name, {}).items():
-                    candidates_by_prefix.setdefault(prefix, []).append(route)
-                table = {}
-                for prefix, candidates in candidates_by_prefix.items():
-                    best = self.decide(name, candidates)
-                    if best is not None:
-                        table[prefix] = best
-                new_selected[name] = table
-            selected = new_selected
-
-        return BgpResult(
-            converged=False,
-            oscillating=False,
-            rounds=max_rounds,
-            selected=selected,
-            history=history,
-            session_warnings=list(self.warnings),
-            messages=messages,
-        )
 
     def _simulate_events(
         self, max_rounds: int, resume_from: Optional[dict] = None

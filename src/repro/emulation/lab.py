@@ -78,8 +78,6 @@ class EmulatedLab:
         keep_history: Optional[bool] = None,
         strict: bool = True,
         jobs: int = 1,
-        spf_mode: str = "auto",
-        bgp_mode: str = "events",
     ):
         self.intent = intent
         self.max_rounds = max_rounds
@@ -87,8 +85,6 @@ class EmulatedLab:
         #: Fan-out width for per-VM bring-up (and, via :meth:`boot`,
         #: config parsing); 1 is the serial reference path.
         self.jobs = jobs
-        self.spf_mode = spf_mode
-        self.bgp_mode = bgp_mode
         self._vendor_overrides = vendor_overrides
         self._keep_history = keep_history
         #: Directory the lab was booted from (None for intent-built labs).
@@ -125,17 +121,12 @@ class EmulatedLab:
         keep_history: Optional[bool] = None,
         strict: bool = True,
         jobs: int = 1,
-        spf_mode: str = "auto",
-        bgp_mode: str = "events",
     ) -> "EmulatedLab":
         """Parse a rendered lab directory and bring the network up.
 
         ``jobs`` fans per-machine config parsing and per-VM bring-up
-        over the engine executors; ``spf_mode``/``bgp_mode`` select the
-        protocol engines' fast paths (the defaults) or the naive
-        reference oracles (``"full"``/``"rounds"``).  Every combination
-        produces an identical lab — the parallel-boot determinism and
-        differential tests pin that down.
+        over the engine executors; every width produces an identical
+        lab — the parallel-boot determinism tests pin that down.
         """
         lab_dir = str(lab_dir)
         platform = platform or detect_platform(lab_dir)
@@ -153,8 +144,6 @@ class EmulatedLab:
             keep_history=keep_history,
             strict=strict,
             jobs=jobs,
-            spf_mode=spf_mode,
-            bgp_mode=bgp_mode,
         )
         lab.lab_dir = lab_dir
         return lab
@@ -203,7 +192,7 @@ class EmulatedLab:
             )
         with span("emulation.igp"):
             if self.igp is None:
-                self.igp = IgpState(self.network, spf_mode=self.spf_mode)
+                self.igp = IgpState(self.network)
             else:
                 self.igp.rebuild(self.network)
 
@@ -216,7 +205,6 @@ class EmulatedLab:
                 keep_history=self._keep_history
                 if self._keep_history is not None
                 else len(self.network) <= HISTORY_MACHINE_LIMIT,
-                bgp_mode=self.bgp_mode,
             )
         else:
             self._simulation.rebuild(self.network)
@@ -413,8 +401,6 @@ class EmulatedLab:
         clone.max_rounds = self.max_rounds
         clone.strict = self.strict
         clone.jobs = self.jobs
-        clone.spf_mode = self.spf_mode
-        clone.bgp_mode = self.bgp_mode
         clone._vendor_overrides = self._vendor_overrides
         clone._keep_history = (
             self._keep_history if self._keep_history is not None else False

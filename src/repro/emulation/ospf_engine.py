@@ -23,24 +23,17 @@ connected component of the union of the area adjacencies — never at
 the rest of the lab, which keeps thousand-router labs of many small
 domains (the NREN model) workable.
 
-Two recomputation modes govern what happens when the fabric changes
-under a running lab (:meth:`IgpState.rebuild`):
-
-* ``spf_mode="incremental"`` (the default) diffs the old and new
-  adjacency, and drops only the cached SPF runs whose shortest-path
-  DAG could be affected — a changed edge endpoint the source could
-  previously reach — plus the route tables that *consulted* one of the
-  dropped runs (tracked as explicit dependencies while each table is
-  computed).  A link event between two leaf routers leaves every other
-  router's SPF and routing table untouched.
-* ``spf_mode="full"`` is the reference oracle: every cache is dropped
-  on every rebuild, exactly the naive semantics.  The differential
-  test layer asserts both modes produce identical RIBs under random
-  fault schedules.
-* ``spf_mode="auto"`` resolves to one of the above by fabric size: below
-  :data:`SPF_AUTO_THRESHOLD` machines the incremental bookkeeping costs
-  more than the Dijkstras it saves (the BENCH fault-cycle regression),
-  so small labs run "full" and large labs "incremental".
+When the fabric changes under a running lab, :meth:`IgpState.rebuild`
+diffs the old and new adjacency and drops only the cached SPF runs
+whose shortest-path DAG could be affected — a changed edge endpoint the
+source could previously reach — plus the route tables that *consulted*
+one of the dropped runs (tracked as explicit dependencies while each
+table is computed).  A link event between two leaf routers leaves every
+other router's SPF and routing table untouched.  The oracle this is
+checked against is a fresh :class:`IgpState` built on the post-change
+network: the differential tests (``tests/emulation/control_plane_oracle.py``
+and ``tests/property/test_fast_path_differential.py``) assert identical
+RIBs under random fault schedules.
 """
 
 from __future__ import annotations
@@ -51,28 +44,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.emulation.network import EmulatedNetwork
-from repro.exceptions import EmulationError
 from repro.observability import metric_inc
 
 BACKBONE = 0
-
-#: Recognised :class:`IgpState` recomputation modes.
-SPF_MODES = ("incremental", "full", "auto")
-
-#: Labs below this machine count resolve ``spf_mode="auto"`` to "full":
-#: at small scale the incremental mode's invalidation bookkeeping costs
-#: more than just re-running Dijkstra (the BENCH_pipeline fault-cycle
-#: numbers), while large fabrics win big from incremental invalidation.
-SPF_AUTO_THRESHOLD = 48
-
-
-def resolve_spf_mode(spf_mode: str, network: EmulatedNetwork) -> str:
-    """Map ``"auto"`` to the mode that wins at this topology's size."""
-    if spf_mode != "auto":
-        return spf_mode
-    if len(network.all_machines) < SPF_AUTO_THRESHOLD:
-        return "full"
-    return "incremental"
 
 
 @dataclass(frozen=True)
@@ -89,15 +63,8 @@ class IgpRoute:
 class IgpState:
     """Per-lab IGP view: adjacency, distances, and routes."""
 
-    def __init__(self, network: EmulatedNetwork, spf_mode: str = "incremental"):
-        if spf_mode not in SPF_MODES:
-            raise EmulationError(
-                "unknown spf_mode %r (choose from %s)"
-                % (spf_mode, ", ".join(SPF_MODES))
-            )
+    def __init__(self, network: EmulatedNetwork):
         self.network = network
-        self.requested_spf_mode = spf_mode
-        self.spf_mode = resolve_spf_mode(spf_mode, network)
         #: per-area adjacency: area -> machine -> [(neighbor, cost out)]
         self.area_adjacency: dict[int, dict[str, list[tuple[str, int]]]] = {}
         #: areas each machine participates in
@@ -127,11 +94,10 @@ class IgpState:
     def rebuild(self, network: Optional[EmulatedNetwork] = None) -> None:
         """Accept a topology delta: recompute adjacency, refresh caches.
 
-        In ``full`` mode every cache is dropped (the reference
-        behaviour).  In ``incremental`` mode the adjacency delta is
-        computed first and only the affected SPF runs and dependent
-        route tables are invalidated — what lets a fault schedule
-        reconverge a large lab without re-running Dijkstra everywhere.
+        The adjacency delta is computed first and only the affected SPF
+        runs and dependent route tables are invalidated — what lets a
+        fault schedule reconverge a lab without re-running Dijkstra
+        everywhere.
         """
         old_adjacency = self.area_adjacency
         old_areas = self.machine_areas
@@ -143,25 +109,9 @@ class IgpState:
         self.machine_areas = {}
         self._build_adjacency()
         metric_inc("ospf.rebuilds")
-        if self.spf_mode == "full":
-            self._invalidate_all()
-            return
         self._invalidate_incremental(
             old_adjacency, old_areas, old_prefixes, old_components
         )
-
-    def _invalidate_all(self) -> None:
-        metric_inc("ospf.spf_invalidated", len(self._spf_cache))
-        metric_inc("ospf.routes_invalidated", len(self._routes_cache))
-        metric_inc(
-            "ospf.invalidations", len(self._spf_cache) + len(self._routes_cache)
-        )
-        self._spf_cache.clear()
-        self._routes_cache.clear()
-        self._route_deps.clear()
-        self._route_connected.clear()
-        self._address_views.clear()
-        self._bgp_dirty_sources |= set(self.network.machines)
 
     def _advertised_fingerprint(self) -> dict[str, tuple]:
         """Per-machine advertised prefixes — route tables depend on all."""
@@ -235,7 +185,6 @@ class IgpState:
                 self._address_views.pop(source, None)
         metric_inc("ospf.routes_invalidated", invalidated_routes)
         metric_inc("ospf.routes_retained", len(self._routes_cache))
-        # the single number the incremental-vs-full comparison needs:
         # total cache entries dropped by this topology event
         metric_inc("ospf.invalidations", len(dropped) + invalidated_routes)
         # Anything not in the routes cache after invalidation — dropped

@@ -404,9 +404,6 @@ def compare_records(
 DEFAULT_TRACKED = (
     "total_seconds",
     "phases.",
-    "control_plane.fault_cycle_speedup",
-    "control_plane.fast.",
-    "control_plane_nren.fault_cycle_speedup",
     "engine.serial_seconds",
     "engine.parallel_seconds",
     "engine.warm_cache_seconds",

@@ -118,8 +118,6 @@ def run_experiment(
     strict: bool = True,
     retry_policy=None,
     jobs: int = 1,
-    spf_mode: str = "auto",
-    bgp_mode: str = "events",
     traffic_profile=None,
     traffic_seed: int = 0,
     traffic_schedule=None,
@@ -140,11 +138,8 @@ def run_experiment(
     ``strict=False`` boots the lab with failed-parse devices
     quarantined instead of aborting, and ``retry_policy`` retries
     transient host errors during deployment.  ``jobs`` fans config
-    parsing and per-VM bring-up over the engine executors, and
-    ``spf_mode``/``bgp_mode`` select the protocol engines' fast paths
-    (the defaults) or the naive reference oracles
-    (``"full"``/``"rounds"``) — every combination boots an identical
-    lab.
+    parsing and per-VM bring-up over the engine executors; every width
+    boots an identical lab.
 
     ``traffic_profile`` (a :class:`repro.traffic.TrafficProfile`, dict,
     JSON text, or file path) additionally offers that workload to the
@@ -194,8 +189,6 @@ def run_experiment(
                         strict=strict,
                         retry_policy=retry_policy or NO_RETRY,
                         jobs=jobs,
-                        spf_mode=spf_mode,
-                        bgp_mode=bgp_mode,
                     )
                 if traffic_profile is not None:
                     from repro.traffic import (

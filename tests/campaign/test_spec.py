@@ -1,11 +1,15 @@
 """Campaign specs: matrix expansion, hashing, sharding, validation."""
 
 import json
+import os
 
 import pytest
 
 from repro.campaign import CampaignSpec
+from repro.campaign.spec import KNOWN_SPEC_KEYS
 from repro.exceptions import CampaignError
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 MATRIX = {
     "name": "matrix",
@@ -150,3 +154,75 @@ def test_bad_shard_bounds():
         spec.shard(3, 3)
     with pytest.raises(CampaignError):
         spec.shard(0, 0)
+
+
+def test_example_campaign_hashes_are_pinned():
+    """Validation never moves a valid spec's resume keys."""
+    spec = CampaignSpec.load(os.path.join(EXAMPLES, "campaign_bad_gadget.json"))
+    assert [trial.spec_hash[:16] for trial in spec] == [
+        "1abb85158e773c84",  # netkit
+        "169d07df139f7d1f",  # dynagen
+        "710ee2a874e2abf9",  # junosphere
+        "4bd457ae23b9a7ab",  # cbgp
+        "b882aae46311885a",  # netkit, inject_fault: deploy
+    ]
+
+
+def test_typed_values_keep_their_hashes():
+    spec = CampaignSpec.from_dict(
+        {
+            "name": "typed",
+            "topologies": ["fig5"],
+            "platforms": ["netkit"],
+            "max_rounds": 12,
+            "deploy": False,
+            "reachability": True,
+            "boot_jobs": 2,
+            "overrides": [{}, {"verify_live": False, "max_rounds": 7}],
+        }
+    )
+    assert [trial.spec_hash[:16] for trial in spec] == [
+        "10ddebd39677f498",
+        "259bef4ece7bdcef",
+    ]
+
+
+BASE = {"name": "n", "topologies": ["fig5"], "platforms": ["netkit"]}
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"deploy": "false"}, "'deploy'"),  # bool("false") is True
+        ({"reachability": 1}, "'reachability'"),
+        ({"max_rounds": "abc"}, "'max_rounds'"),
+        ({"max_rounds": True}, "'max_rounds'"),
+        ({"boot_jobs": 2.5}, "'boot_jobs'"),
+        ({"overrides": [{"max_rounds": "abc"}]}, "'max_rounds'"),
+        ({"overrides": [{"verify_live": "no"}]}, "'verify_live'"),
+        ({"trials": [{**BASE, "overrides": {"deploy": 0}}]}, "'deploy'"),
+    ],
+)
+def test_typed_values_are_checked_not_coerced(extra, named):
+    with pytest.raises(CampaignError, match=named):
+        CampaignSpec.from_dict({**BASE, **extra})
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "max_round",  # a typo
+        "spf_mode",   # removed: the control plane has one mode
+        "bgp_mode",
+    ],
+)
+def test_unknown_top_level_keys_are_rejected(key):
+    with pytest.raises(CampaignError, match="unknown campaign spec key") as error:
+        CampaignSpec.from_dict({**BASE, key: 1})
+    assert repr(key) in str(error.value)
+    assert ", ".join(KNOWN_SPEC_KEYS) in str(error.value)
+
+
+def test_removed_override_keys_are_rejected():
+    with pytest.raises(CampaignError, match="unknown override 'spf_mode'"):
+        CampaignSpec.from_dict({**BASE, "overrides": [{"spf_mode": "full"}]})

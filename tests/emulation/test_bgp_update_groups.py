@@ -12,6 +12,7 @@ from repro.emulation.intent import BgpNeighborIntent
 from repro.emulation.network import EmulatedNetwork
 from repro.emulation.ospf_engine import IgpState
 
+from tests.emulation.control_plane_oracle import simulate_rounds
 from tests.emulation.synthetic_bgp import (
     CORE_ASN,
     add_external,
@@ -24,12 +25,10 @@ from tests.emulation.synthetic_bgp import (
 )
 
 
-def _simulate(lab, bgp_mode="events"):
+def _simulate(lab, schedule=BgpSimulation.run):
     network = EmulatedNetwork(lab)
-    simulation = BgpSimulation(
-        network, IgpState(network), keep_history=False, bgp_mode=bgp_mode
-    )
-    return simulation, simulation.run(max_rounds=16)
+    simulation = BgpSimulation(network, IgpState(network), keep_history=False)
+    return simulation, schedule(simulation, max_rounds=16)
 
 
 def _count_calls(monkeypatch, owner, method: str) -> list:
@@ -131,7 +130,7 @@ def test_last_parallel_session_wins_across_groups():
         BgpNeighborIntent(peer_ip=loopback(0), remote_asn=CORE_ASN),
     ]
     simulation, events = _simulate(lab)
-    _, rounds = _simulate(lab, bgp_mode="rounds")
+    _, rounds = _simulate(lab, schedule=simulate_rounds)
     assert events.selected == rounds.selected
     learned = events.selected["c02"][external_prefix(0)]
     assert learned.learned_from == "c00"

@@ -25,6 +25,11 @@ from repro.emulation.intent import BgpNeighborIntent
 from repro.emulation.network import EmulatedNetwork
 from repro.emulation.ospf_engine import IgpState
 
+from tests.emulation.control_plane_oracle import (
+    can_export,
+    import_route,
+    simulate_rounds,
+)
 from tests.emulation.synthetic_bgp import (
     CORE_ASN,
     add_external,
@@ -164,10 +169,10 @@ def _assert_rib_is_what_the_oracle_would_rebuild(simulation, result) -> None:
     for sender, session_list in simulation.sessions.items():
         for session in session_list:
             for prefix, route in result.selected.get(sender, {}).items():
-                if not simulation._can_export(route, session):
+                if not can_export(simulation, route, session):
                     continue
                 advert = simulation._export(sender, route, session)
-                imported = simulation._import(session.peer, sender, advert, session)
+                imported = import_route(simulation, session.peer, sender, advert, session)
                 if imported is not None:
                     expected.setdefault(prefix, {}).setdefault(session.peer, {})[
                         sender
@@ -183,13 +188,16 @@ def _assert_rib_is_what_the_oracle_would_rebuild(simulation, result) -> None:
 @given(case=synthetic_labs())
 def test_events_equal_rounds_on_synthetic_policy(case):
     lab, fault = case
+    schedules = {
+        "events": BgpSimulation.run,
+        "rounds": simulate_rounds,
+    }
     results = {}
     simulations = {}
-    for mode in ("events", "rounds"):
+    for mode, schedule in schedules.items():
         network = EmulatedNetwork(lab)
-        igp = IgpState(network, spf_mode="incremental")
-        simulations[mode] = BgpSimulation(network, igp, keep_history=True, bgp_mode=mode)
-        results[mode] = simulations[mode].run(max_rounds=MAX_ROUNDS)
+        simulations[mode] = BgpSimulation(network, IgpState(network), keep_history=True)
+        results[mode] = schedule(simulations[mode], max_rounds=MAX_ROUNDS)
     _assert_same(results["events"], results["rounds"])
     _assert_rib_is_what_the_oracle_would_rebuild(simulations["events"], results["events"])
 
@@ -201,8 +209,8 @@ def test_events_equal_rounds_on_synthetic_policy(case):
         network = EmulatedNetwork(lab, disabled_attachments=down)
         simulation.igp.rebuild(network)
         simulation.rebuild(network)
-        results[mode] = simulation.run(
-            max_rounds=MAX_ROUNDS, resume_from=results[mode].selected
+        results[mode] = schedules[mode](
+            simulation, max_rounds=MAX_ROUNDS, resume_from=results[mode].selected
         )
     _assert_same(results["events"], results["rounds"])
     _assert_rib_is_what_the_oracle_would_rebuild(simulations["events"], results["events"])

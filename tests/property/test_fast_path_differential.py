@@ -1,21 +1,22 @@
-"""Differential property tests: fast control-plane paths vs oracles.
+"""Differential property tests: the control plane vs its oracles.
 
-The emulation layer ships two implementations of each expensive step —
-incremental SPF vs full recompute (``spf_mode``), event-driven BGP vs
-fixed global rounds (``bgp_mode``) — and the fast paths are only
-admissible because they are *bit-identical* to the naive reference
-engines.  These tests pin that equivalence down:
+The emulation layer runs incremental SPF invalidation and an
+event-driven BGP schedule, and both are only admissible because they
+are *bit-identical* to the naive reference engines kept in
+``tests/emulation/control_plane_oracle.py`` (a from-scratch
+``IgpState``, synchronous global rounds).  These tests pin that
+equivalence down:
 
 * random synthetic topologies + random link toggles: the incremental
-  IGP produces the same routing table as a from-scratch recompute
-  after every topology delta;
-* random fault schedules against the Small Internet: a fast-mode lab
-  and a reference-mode lab walked through the same schedule report the
-  same per-incident convergence verdicts, final BGP state, IGP routes,
-  and reachability;
+  IGP produces the same routing table as a fresh ``IgpState`` after
+  every topology delta;
+* random fault schedules against the Small Internet: a lab and a
+  reference lab (booted and driven inside ``reference_control_plane()``)
+  walked through the same schedule report the same per-incident
+  convergence verdicts, final BGP state, IGP routes, and reachability;
 * the §7.2 Bad-Gadget oscillator under a fixed fault schedule: both
-  mode combinations agree on every verdict and on the detected
-  oscillation period.
+  agree on every verdict, on the detected oscillation period, and on
+  every per-round history snapshot.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from repro.loader import bad_gadget_topology
 from repro.render import render_nidb
 from repro.resilience import FaultEvent, FaultSchedule, apply_schedule
 
+from tests.emulation.control_plane_oracle import reference_control_plane
+
 _lab_settings = settings(
     max_examples=8,
     deadline=None,
@@ -44,7 +47,7 @@ _lab_settings = settings(
 
 
 # ---------------------------------------------------------------------------
-# Random topologies: incremental SPF vs full recompute
+# Random topologies: incremental SPF vs a fresh IgpState
 # ---------------------------------------------------------------------------
 
 def _mesh_intent(n_routers: int, chords: list[tuple[int, int]],
@@ -89,7 +92,7 @@ def _mesh_intent(n_routers: int, chords: list[tuple[int, int]],
 
 
 class TestIncrementalSpfDifferential:
-    """RIB equality between spf_mode="incremental" and spf_mode="full"."""
+    """RIB equality between incremental invalidation and a fresh state."""
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -118,8 +121,7 @@ class TestIncrementalSpfDifferential:
             label="toggles",
         )
 
-        incremental = IgpState(EmulatedNetwork(intent), spf_mode="incremental")
-        full = IgpState(EmulatedNetwork(intent), spf_mode="full")
+        incremental = IgpState(EmulatedNetwork(intent))
         disabled: set[tuple[str, str]] = set()
         for edge_index in toggles:
             left, right, key = edges[edge_index]
@@ -130,11 +132,11 @@ class TestIncrementalSpfDifferential:
                 disabled |= attachments
             network = EmulatedNetwork(intent, disabled_attachments=disabled)
             incremental.rebuild(network)
-            full.rebuild(EmulatedNetwork(intent, disabled_attachments=disabled))
-            assert incremental.area_adjacency == full.area_adjacency
+            fresh = IgpState(EmulatedNetwork(intent, disabled_attachments=disabled))
+            assert incremental.area_adjacency == fresh.area_adjacency
             for machine in sorted(network.machines):
-                assert incremental.routes(machine) == full.routes(machine), (
-                    "incremental SPF diverged from full recompute for %r "
+                assert incremental.routes(machine) == fresh.routes(machine), (
+                    "incremental SPF diverged from a fresh IgpState for %r "
                     "after toggling %s" % (machine, edges[edge_index])
                 )
 
@@ -147,7 +149,7 @@ class TestIncrementalSpfDifferential:
         """Querying before and after a fault never changes the answer."""
         intent, edges = _mesh_intent(n_routers, [], frozenset())
         down_edge %= len(edges)
-        incremental = IgpState(EmulatedNetwork(intent), spf_mode="incremental")
+        incremental = IgpState(EmulatedNetwork(intent))
         for machine in sorted(incremental.network.machines):
             incremental.routes(machine)  # warm every cache entry
         left, right, key = edges[down_edge]
@@ -158,15 +160,14 @@ class TestIncrementalSpfDifferential:
         cold = IgpState(
             EmulatedNetwork(
                 intent, disabled_attachments={(left, key), (right, key)}
-            ),
-            spf_mode="full",
+            )
         )
         for machine in sorted(network.machines):
             assert incremental.routes(machine) == cold.routes(machine)
 
 
 # ---------------------------------------------------------------------------
-# Small Internet: random fault schedules, fast lab vs reference lab
+# Small Internet: random fault schedules, lab vs reference lab
 # ---------------------------------------------------------------------------
 
 SI_LINKS = [
@@ -187,36 +188,14 @@ _si_events = st.one_of(
 
 @pytest.fixture(scope="module")
 def si_mode_labs(si_render):
-    """The Small Internet booted twice: fast paths vs reference oracles.
-
-    ``spf_mode`` is pinned to ``"incremental"`` because the default
-    (``"auto"``) resolves to ``"full"`` below the auto threshold, which
-    would collapse the SPF differential on this small topology.
-    """
-    fast = EmulatedLab.boot(si_render.lab_dir, spf_mode="incremental")
-    reference = EmulatedLab.boot(
-        si_render.lab_dir, spf_mode="full", bgp_mode="rounds"
-    )
-    assert fast.spf_mode == "incremental" and fast.bgp_mode == "events"
+    """The Small Internet booted twice: the lab and the reference oracles."""
+    fast = EmulatedLab.boot(si_render.lab_dir)
+    with reference_control_plane():
+        reference = EmulatedLab.boot(si_render.lab_dir)
     assert fast.bgp_result.selected == reference.bgp_result.selected
+    # the oracle re-sends every table every round: proof it ran
+    assert reference.bgp_result.messages > fast.bgp_result.messages
     return fast, reference
-
-
-def test_auto_spf_mode_resolves_by_topology_size(si_render):
-    """The default ``"auto"`` picks full SPF below the machine threshold
-    (recomputing a small graph is cheaper than maintaining incremental
-    state) and incremental above it, and keeps the requested mode
-    visible on the lab."""
-    from repro.emulation.ospf_engine import SPF_AUTO_THRESHOLD, resolve_spf_mode
-
-    lab = EmulatedLab.boot(si_render.lab_dir)
-    assert lab.spf_mode == "auto"
-    machines = len(lab.network.all_machines)
-    expected = "full" if machines < SPF_AUTO_THRESHOLD else "incremental"
-    assert lab.igp.spf_mode == expected
-    assert lab.igp.requested_spf_mode == "auto"
-    assert resolve_spf_mode("incremental", lab.network) == "incremental"
-    assert resolve_spf_mode("full", lab.network) == "full"
 
 
 class TestFaultScheduleDifferential:
@@ -229,12 +208,10 @@ class TestFaultScheduleDifferential:
         )
         fast_parent, reference_parent = si_mode_labs
         fast = fast_parent.fork()
-        reference = reference_parent.fork()
-        assert fast.spf_mode == "incremental" and fast.bgp_mode == "events"
-        assert reference.spf_mode == "full" and reference.bgp_mode == "rounds"
-
         fast_report = apply_schedule(fast, schedule)
-        reference_report = apply_schedule(reference, schedule)
+        with reference_control_plane():
+            reference = reference_parent.fork()
+            reference_report = apply_schedule(reference, schedule)
 
         assert len(fast_report.steps) == len(reference_report.steps)
         for fast_step, reference_step in zip(
@@ -293,9 +270,8 @@ class TestBadGadgetDifferential:
     def test_fault_schedule_verdicts_and_period_match(self, gadget_dir):
         schedule = FaultSchedule.parse(GADGET_SCHEDULE)
         fast = EmulatedLab.boot(gadget_dir, max_rounds=40)
-        reference = EmulatedLab.boot(
-            gadget_dir, max_rounds=40, spf_mode="full", bgp_mode="rounds"
-        )
+        with reference_control_plane():
+            reference = EmulatedLab.boot(gadget_dir, max_rounds=40)
         # The gadget oscillates on IOS before any fault is injected,
         # and both engines must detect the same cycle length.
         assert fast.oscillating and reference.oscillating
@@ -306,7 +282,8 @@ class TestBadGadgetDifferential:
         )
 
         fast_report = apply_schedule(fast, schedule)
-        reference_report = apply_schedule(reference, schedule)
+        with reference_control_plane():
+            reference_report = apply_schedule(reference, schedule)
         for fast_step, reference_step in zip(
             fast_report.steps, reference_report.steps
         ):
@@ -323,11 +300,8 @@ class TestBadGadgetDifferential:
     def test_per_round_history_identical(self, gadget_dir):
         """Not just the endpoints: every intermediate round matches."""
         fast = EmulatedLab.boot(gadget_dir, max_rounds=40, keep_history=True)
-        reference = EmulatedLab.boot(
-            gadget_dir,
-            max_rounds=40,
-            keep_history=True,
-            spf_mode="full",
-            bgp_mode="rounds",
-        )
+        with reference_control_plane():
+            reference = EmulatedLab.boot(
+                gadget_dir, max_rounds=40, keep_history=True
+            )
         assert fast.bgp_result.history == reference.bgp_result.history
