@@ -58,17 +58,19 @@ def reachability_matrix(lab: EmulatedLab, machines: Iterable[str] | None = None)
     fabric are skipped.
     """
     names = sorted(machines) if machines is not None else sorted(lab.network.machines)
+    loopbacks = {
+        name: lab.network.device(name).loopback
+        for name in names
+        if name in lab.network.machines
+    }
     matrix: dict[tuple[str, str], bool] = {}
     for src in names:
         if src not in lab.network.machines:
             continue
         for dst in names:
-            if src == dst or dst not in lab.network.machines:
+            if src == dst or loopbacks.get(dst) is None:
                 continue
-            loopback = lab.network.device(dst).loopback
-            if loopback is None:
-                continue
-            matrix[(src, dst)] = lab.dataplane.ping(src, loopback)
+            matrix[(src, dst)] = lab.dataplane.ping(src, loopbacks[dst])
     return matrix
 
 

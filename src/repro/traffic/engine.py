@@ -41,7 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import operator
 import time
+from functools import reduce
+from itertools import islice
 from random import Random
 
 from repro.exceptions import TrafficError
@@ -102,10 +105,9 @@ class _PairPool:
     def __init__(self, entry, machines, rng: Random):
         sources = list(entry.sources) or machines
         destinations = list(entry.destinations) or machines
+        known = set(machines)
         missing = [
-            name
-            for name in set(sources) | set(destinations)
-            if name not in set(machines)
+            name for name in set(sources) | set(destinations) if name not in known
         ]
         if missing:
             raise TrafficError(
@@ -214,8 +216,11 @@ class TrafficEngine:
             self.live_plans.append((at_time, plan))
         self.links = LinkModel(self.profile, link_overrides)
         self._machines = sorted(lab.network.all_machines)
-        # pair pool index -> (hop_state_lists, hop_pair_names) | None
+        self._flow_bytes = [entry.flow_bytes() for entry in self.profile.classes]
+        # (class index, src, dst) -> _CompiledPath | None (unroutable)
         self._paths: dict = {}
+        # every path compiled so far, current or stale, for the final fold
+        self._compiled: list = []
         self._stale_paths: dict | None = None
         self._stale_until = 0.0
         self._dead_hops: set = set()
@@ -251,9 +256,14 @@ class TrafficEngine:
         return hop_states, hop_pairs
 
     def _path_for(self, key, src: str, dst: str):
+        """The compiled path of ``key`` under the current forwarding state."""
         path = self._paths.get(key, _MISSING)
         if path is _MISSING:
-            path = self._compute_path(src, dst)
+            route = self._compute_path(src, dst)
+            path = None
+            if route is not None:
+                path = _CompiledPath(*route, self._flow_bytes[key[0]])
+                self._compiled.append(path)
             self._paths[key] = path
         return path
 
@@ -375,18 +385,21 @@ class TrafficEngine:
             streams.append(_arrivals(entry, window, rng, index))
             report.classes.append(ClassReport(name=entry.name, kind=entry.kind))
 
-        flow_bytes = [entry.flow_bytes() for entry in class_entries]
         pair_lists = [pool.pairs for pool in pools]
         class_reports = report.classes
+        dropped = [0] * len(class_entries)
+        unroutable = [0] * len(class_entries)
+        latencies = _LatencyChunks(class_reports)
+        bucket_samples = latencies.bucket
+        class_samples = latencies.by_class
 
         bucket_width = profile.round_seconds
         buckets: dict = {}
+        bucket = None
+        bucket_key = None
 
         change_queue = self._change_times()
         change_cursor = 0
-        prev_latency = [None] * len(class_entries)
-        jitter_sum = [0.0] * len(class_entries)
-        jitter_n = [0] * len(class_entries)
 
         flows_seen = 0
         with span(
@@ -405,19 +418,15 @@ class TrafficEngine:
                     self._apply_change(at_time, kind, payload, report)
                     change_cursor += 1
 
-                stats = class_reports[class_index]
-                size = flow_bytes[class_index]
+                # arrivals come in start order: one bucket is open at a time
+                if int(start / bucket_width) != bucket_key:
+                    if bucket is not None:
+                        latencies.flush(bucket)
+                    bucket_key = int(start / bucket_width)
+                    bucket = buckets[bucket_key] = _Bucket(bucket_key * bucket_width)
+
                 pairs = pair_lists[class_index]
                 src, dst = pairs[slot % len(pairs)]
-                stats.offered_flows += 1
-                stats.offered_bytes += size
-
-                bucket_key = int(start / bucket_width)
-                bucket = buckets.get(bucket_key)
-                if bucket is None:
-                    bucket = buckets[bucket_key] = _Bucket(bucket_key * bucket_width)
-                bucket.offered += 1
-
                 key = (class_index, src, dst)
                 launch = start
                 path = None
@@ -429,7 +438,7 @@ class TrafficEngine:
                         stale = self._stale_paths.get(key)
                         if stale is not None:
                             dead = any(
-                                self._hop_is_dead(pair) for pair in stale[1]
+                                self._hop_is_dead(pair) for pair in stale.pairs
                             )
                             if dead:
                                 # disrupted: stall until reconvergence
@@ -442,7 +451,7 @@ class TrafficEngine:
                     path = self._path_for(key, src, dst)
 
                 if path is None:
-                    stats.unroutable_flows += 1
+                    unroutable[class_index] += 1
                     bucket.dropped += 1
                     continue
 
@@ -451,45 +460,34 @@ class TrafficEngine:
                 # backlog a flow sees (``wait * capacity`` bytes) is real
                 # queued data, and propagation delay is added to latency
                 # afterwards so a reservation on a far hop never makes
-                # the link look busy to an earlier arrival.
+                # the link look busy to an earlier arrival.  An idle hop
+                # departs at ``t + service``, which is ``t + 0.0 + service``
+                # to the bit.
                 t = launch
-                propagation = 0.0
-                delivered = True
-                for state in path[0]:
+                for state, service, capacity, queue, position in path.hops:
                     busy = state[BUSY_UNTIL]
                     if busy > t:
                         wait = busy - t
-                        if wait * state[CAPACITY_BPS] > state[QUEUE_BYTES]:
+                        if wait * capacity > queue:
                             state[DROPS] += 1
-                            delivered = False
+                            path.cut[position] += 1
                             break
+                        t = t + wait + service
                     else:
-                        wait = 0.0
-                    service = size / state[CAPACITY_BPS]
-                    departure = t + wait + service
-                    state[BUSY_UNTIL] = departure
+                        t += service
+                    state[BUSY_UNTIL] = t
                     state[BUSY_SECONDS] += service
-                    state[BYTES] += size
-                    state[FLOWS] += 1
-                    t = departure
-                    propagation += state[DELAY_S]
-
-                if not delivered:
-                    stats.dropped_flows += 1
-                    bucket.dropped += 1
+                else:
+                    path.delivered += 1
+                    latency = t + path.propagation - start
+                    bucket_samples.append(latency)
+                    class_samples[class_index].append(latency)
                     continue
+                dropped[class_index] += 1
+                bucket.dropped += 1
 
-                latency = t + propagation - start
-                stats.delivered_flows += 1
-                stats.delivered_bytes += size
-                stats.latency.observe(latency)
-                bucket.delivered += 1
-                bucket.latency.observe(latency)
-                previous = prev_latency[class_index]
-                if previous is not None:
-                    jitter_sum[class_index] += abs(latency - previous)
-                    jitter_n[class_index] += 1
-                prev_latency[class_index] = latency
+            if bucket is not None:
+                latencies.flush(bucket)
 
             # changes scheduled after the last arrival still apply, so a
             # rerun that extends the profile stays consistent
@@ -500,9 +498,22 @@ class TrafficEngine:
                 self._apply_change(at_time, kind, payload, report)
                 change_cursor += 1
 
+        for path in self._compiled:
+            path.fold()
         for index, stats in enumerate(class_reports):
-            if jitter_n[index]:
-                stats.jitter_ms = jitter_sum[index] / jitter_n[index] * 1e3
+            size = self._flow_bytes[index]
+            delivered = latencies.delivered[index]
+            offered = delivered + dropped[index] + unroutable[index]
+            stats.offered_flows += offered
+            stats.offered_bytes += offered * size
+            stats.delivered_flows += delivered
+            stats.delivered_bytes += delivered * size
+            stats.dropped_flows += dropped[index]
+            stats.unroutable_flows += unroutable[index]
+            if latencies.jitter_n[index]:
+                stats.jitter_ms = (
+                    latencies.jitter_sum[index] / latencies.jitter_n[index] * 1e3
+                )
 
         report.links = self.links.utilization_rows(profile.duration)
         report.timeline = [
@@ -528,6 +539,91 @@ class TrafficEngine:
             name = "traffic.latency_ms.%s" % entry.name
             for sample in entry.latency.samples:
                 metric_observe(name, sample * 1e3)
+
+
+class _CompiledPath:
+    """One ``(class, src, dst)`` path under one forwarding state.
+
+    ``hops`` holds per hop ``(link state, service seconds, capacity,
+    queue bytes, position)``: the class's transmission time is divided
+    out once here, not per flow.  ``propagation`` is the hop delays
+    summed in hop order.  Flows and bytes are counted per path —
+    ``delivered`` flows crossed every hop, ``cut[i]`` flows were dropped
+    at hop ``i`` — and :meth:`fold` credits them to the link states.
+    """
+
+    __slots__ = ("hops", "pairs", "propagation", "size", "delivered", "cut")
+
+    def __init__(self, states: list, pairs: list, size: int):
+        self.hops = tuple(
+            (state, size / state[CAPACITY_BPS], state[CAPACITY_BPS],
+             state[QUEUE_BYTES], position)
+            for position, state in enumerate(states)
+        )
+        self.pairs = pairs
+        propagation = 0.0
+        for state in states:
+            propagation += state[DELAY_S]
+        self.propagation = propagation
+        self.size = size
+        self.delivered = 0
+        self.cut = [0] * len(states)
+
+    def fold(self) -> None:
+        """Add the counted flows and bytes to each hop, then reset the counts."""
+        crossed = self.delivered
+        for state, _service, _capacity, _queue, position in reversed(self.hops):
+            state[FLOWS] += crossed
+            state[BYTES] += crossed * self.size
+            crossed += self.cut[position]
+        self.delivered = 0
+        self.cut = [0] * len(self.hops)
+
+
+class _LatencyChunks:
+    """The open bucket's delivered latencies, in flow order, per class too.
+
+    A delivered flow only appends its latency; :meth:`flush` closes the
+    bucket.  It counts the deliveries, feeds the latencies to the
+    bucket's and each class's histogram with ``observe_many`` and folds
+    each class's jitter left to right, so every float sum runs in the
+    order the flows were delivered.
+    """
+
+    __slots__ = (
+        "bucket", "by_class", "reports", "delivered", "previous", "jitter_sum", "jitter_n",
+    )
+
+    def __init__(self, class_reports: list):
+        self.bucket: list = []
+        self.by_class: list = [[] for _ in class_reports]
+        self.reports = class_reports
+        self.delivered = [0] * len(class_reports)
+        self.previous: list = [None] * len(class_reports)
+        self.jitter_sum = [0.0] * len(class_reports)
+        self.jitter_n = [0] * len(class_reports)
+
+    def flush(self, bucket: "_Bucket") -> None:
+        bucket.delivered = len(self.bucket)
+        bucket.offered = bucket.delivered + bucket.dropped
+        bucket.latency.observe_many(self.bucket)
+        self.bucket.clear()
+        for index, chunk in enumerate(self.by_class):
+            if not chunk:
+                continue
+            self.delivered[index] += len(chunk)
+            self.reports[index].latency.observe_many(chunk)
+            total = self.jitter_sum[index]
+            previous = self.previous[index]
+            if previous is None:
+                self.jitter_n[index] += len(chunk) - 1
+            else:
+                total += abs(chunk[0] - previous)
+                self.jitter_n[index] += len(chunk)
+            steps = map(operator.sub, islice(chunk, 1, None), chunk)
+            self.jitter_sum[index] = reduce(operator.add, map(abs, steps), total)
+            self.previous[index] = chunk[-1]
+            chunk.clear()
 
 
 class _Bucket:
