@@ -14,6 +14,7 @@ stanzas the templates consume: ``ospf``, ``bgp``, ``isis``, ``dns``,
 
 from __future__ import annotations
 
+import sys
 
 from repro.anm import AbstractNetworkModel
 from repro.design.ip_addressing import domain_between, interface_address
@@ -197,13 +198,15 @@ class RouterCompiler(DeviceCompiler):
                 raise CompilerError(
                     "iBGP neighbor %s has no loopback allocated" % (neighbor_id,)
                 )
+            # interned: a full mesh names every router once per other router
+            loopback = sys.intern(str(neighbor_loopback))
             neighbors.append(
                 {
                     "neighbor": str(neighbor_id),
-                    "neighbor_ip": str(neighbor_loopback),
-                    "neighbor_loopback": str(neighbor_loopback),
+                    "neighbor_ip": loopback,
+                    "neighbor_loopback": loopback,
                     "remote_asn": device.asn,
-                    "description": "iBGP to %s" % (neighbor_id,),
+                    "description": sys.intern("iBGP to %s" % (neighbor_id,)),
                     "is_ebgp": False,
                     "update_source": "lo0",
                     # next-hop-self defaults on: iBGP-learned external

@@ -172,7 +172,7 @@ class BgpRoute:
 _ROUTE_FIELDS = tuple(f.name for f in fields(BgpRoute) if f.init)
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """One directed session endpoint: local machine's view of a peer."""
 
@@ -182,7 +182,7 @@ class Session:
     is_ebgp: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateGroup:
     """Sessions of one sender that share one export->import outcome.
 
@@ -272,7 +272,8 @@ class BgpSimulation:
         self._resume_dirty: Optional[set[str]] = set()
         self._prev_machines: Optional[frozenset[str]] = None
         self._prev_devices: dict[str, object] = {}
-        #: machine -> session fingerprint at last rebuild.
+        #: machine -> session fingerprint at last rebuild: (peer,
+        #: peer address, is eBGP) of each session in order, flattened.
         self._session_config: dict[str, tuple] = {}
         self.local_routes: dict[str, dict] = {}
         self.rebuild(network)
@@ -301,8 +302,8 @@ class BgpSimulation:
         self.sessions = {}
         #: sender -> its sessions partitioned into update groups.
         self._update_groups: dict[str, list[UpdateGroup]] = {}
-        #: (local machine, peer machine) -> the local side's neighbor intent.
-        self._intent_of: dict[tuple[str, str], BgpNeighborIntent] = {}
+        #: local machine -> peer machine -> the local side's neighbor intent.
+        self._intent_of: dict[str, dict[str, BgpNeighborIntent]] = {}
         old_local = self.local_routes
         old_sessions = self._session_config
         self._build_sessions()
@@ -381,8 +382,9 @@ class BgpSimulation:
         """
         self._session_config = {
             name: tuple(
-                (session.peer, session.intent.peer_ip, session.is_ebgp)
+                value
                 for session in session_list
+                for value in (session.peer, session.intent.peer_ip, session.is_ebgp)
             )
             for name, session_list in self.sessions.items()
         }
@@ -427,6 +429,7 @@ class BgpSimulation:
             device = self.network.machines[name]
             if device.bgp is None:
                 continue
+            intent_of = self._intent_of[name] = {}
             for intent in device.bgp.neighbors:
                 peer = self.network.owner_of(intent.peer_ip)
                 if peer is None:
@@ -444,12 +447,12 @@ class BgpSimulation:
                 self.sessions.setdefault(name, []).append(
                     Session(local=name, peer=peer, intent=intent, is_ebgp=is_ebgp)
                 )
-                self._intent_of[(name, peer)] = intent
+                intent_of[peer] = intent
         # A session is up only when both sides configured it.
         for name, session_list in list(self.sessions.items()):
             alive = []
             for session in session_list:
-                if (session.peer, name) in self._intent_of:
+                if name in self._intent_of.get(session.peer, ()):
                     alive.append(session)
                 else:
                     self.warnings.append(
@@ -481,7 +484,7 @@ class BgpSimulation:
             if session.is_ebgp:
                 receiver, flags, address = session.peer, (), intent.peer_ip
             else:
-                receiving = self._intent_of[(session.peer, sender)]
+                receiving = self._intent_of[session.peer][sender]
                 receiver = None
                 flags = (intent.next_hop_self, intent.rr_client, receiving.rr_client)
                 address = receiving.peer_ip
@@ -591,7 +594,8 @@ class BgpSimulation:
         check; None means rejected."""
         device = self.network.machines[receiver]
         vendor = self.vendors[receiver]
-        receiving_intent = self._intent_of.get((receiver, sender))
+        intent_of = self._intent_of.get(receiver)
+        receiving_intent = None if intent_of is None else intent_of.get(sender)
         if receiving_intent is None:
             return None
         sender_device = self.network.machines[sender]

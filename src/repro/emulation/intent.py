@@ -22,7 +22,7 @@ def _as_address(address):
     return ipaddress.ip_address(str(address))
 
 
-@dataclass
+@dataclass(slots=True)
 class InterfaceIntent:
     """One configured interface: name, address, and attached segment."""
 
@@ -35,6 +35,10 @@ class InterfaceIntent:
     ospf_cost: int = 1
     ipv6_address: Optional[ipaddress.IPv6Address] = None
     ipv6_prefixlen: Optional[int] = None
+    #: ``((ip_address, prefixlen), network)`` of the last ``network`` call
+    _network_cache: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def network(self) -> Optional[ipaddress.IPv4Network]:
@@ -45,17 +49,16 @@ class InterfaceIntent:
         # the boot profile before this cache.  Keyed on the address pair
         # so parsers that patch an interface in place stay correct.
         key = (self.ip_address, self.prefixlen)
-        cached = self.__dict__.get("_network_cache")
+        cached = self._network_cache
         if cached is None or cached[0] != key:
-            cached = (
+            cached = self._network_cache = (
                 key,
                 ipaddress.ip_network("%s/%d" % key, strict=False),
             )
-            self.__dict__["_network_cache"] = cached
         return cached[1]
 
 
-@dataclass
+@dataclass(slots=True)
 class OspfIntent:
     """Parsed OSPF configuration: advertised networks and costs."""
 
@@ -69,7 +72,7 @@ class OspfIntent:
                    for advertised, _ in self.networks)
 
 
-@dataclass
+@dataclass(slots=True)
 class IsisIntent:
     """Parsed IS-IS configuration."""
 
@@ -78,7 +81,7 @@ class IsisIntent:
     interface_metrics: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class BgpNeighborIntent:
     """One configured BGP session endpoint."""
 
@@ -96,7 +99,7 @@ class BgpNeighborIntent:
     description: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class BgpIntent:
     """Parsed BGP configuration for one router."""
 
@@ -113,7 +116,7 @@ class BgpIntent:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsZoneIntent:
     """Parsed zone data from a rendered bind file."""
 
@@ -122,7 +125,7 @@ class DnsZoneIntent:
     ptr_records: dict[str, str] = field(default_factory=dict)  # reverse name -> fqdn
 
 
-@dataclass
+@dataclass(slots=True)
 class DnsIntent:
     """Parsed DNS server/client configuration."""
 
@@ -132,7 +135,7 @@ class DnsIntent:
     domain: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceIntent:
     """Everything one machine's configuration files declared."""
 
@@ -182,7 +185,7 @@ class DeviceIntent:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class LabIntent:
     """A whole lab: all machines plus platform metadata."""
 

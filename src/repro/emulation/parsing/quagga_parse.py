@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import re
+import sys
 
 from repro.emulation.intent import (
     BgpIntent,
@@ -169,9 +170,11 @@ def parse_bgpd(
                     "neighbor %s configured before remote-as" % peer, filename, lineno
                 )
             elif attribute == "description":
-                neighbor.description = " ".join(parts[3:])
+                # interned: a full mesh repeats each description and
+                # update source once per router
+                neighbor.description = sys.intern(" ".join(parts[3:]))
             elif attribute == "update-source":
-                neighbor.update_source = parts[3]
+                neighbor.update_source = sys.intern(parts[3])
             elif attribute == "next-hop-self":
                 neighbor.next_hop_self = True
             elif attribute == "route-reflector-client":

@@ -12,6 +12,7 @@ come back as *text*, not API objects.
 from __future__ import annotations
 
 import ipaddress
+from collections import Counter
 from typing import Optional
 
 from repro.emulation.intent import DeviceIntent
@@ -167,11 +168,12 @@ class VirtualMachine:
             "Neighbor        V    AS MsgRcvd MsgSent   TblVer  InQ OutQ Up/Down  State/PfxRcd",
         ]
         selected = self.lab.bgp_result.selected.get(self.name, {})
+        # prefixes received per peer machine, in one pass over the table;
+        # a neighbour that matches no machine (owner None) gets the count
+        # of locally originated routes, whose learned_from is None
+        received_from = Counter(route.learned_from for route in selected.values())
         for neighbor in device.bgp.neighbors:
-            peer_machine = self.lab.network.owner_of(neighbor.peer_ip)
-            received = sum(
-                1 for route in selected.values() if route.learned_from == peer_machine
-            )
+            received = received_from[self.lab.network.owner_of(neighbor.peer_ip)]
             lines.append(
                 "%-15s 4 %5d %7d %7d %8d %4d %4d %s %8d"
                 % (

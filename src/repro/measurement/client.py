@@ -19,7 +19,7 @@ The module-level :func:`send` mirrors the paper's API::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.emulation import EmulatedLab
 from repro.exceptions import MeasurementError
@@ -91,9 +91,18 @@ class MeasurementClient:
         self._mapper = IpMapper(nidb) if nidb is not None else None
 
     def send(self, command: str, hosts) -> MeasurementRun:
-        """Run ``command`` on each host (name or management address).
+        """Run ``command`` on each host; every result, in host order.
 
-        The fan-out runs under a ``measure`` span with one child per
+        The same fan-out as :meth:`iter_results`, collected into one
+        :class:`MeasurementRun`.
+        """
+        return MeasurementRun(command, list(self.iter_results(command, hosts)))
+
+    def iter_results(self, command: str, hosts) -> Iterator[MeasurementResult]:
+        """Run ``command`` on each host (name or management address) and
+        yield each :class:`MeasurementResult` as soon as it is measured.
+
+        The fan-out runs under a ``measure.send`` span with one child per
         host; parse volume is counted as ``measure.rows_parsed``.  One
         failing host does not abort the fan-out: its result carries the
         error (``result.ok`` is false) and ``measure.failures`` counts
@@ -102,50 +111,50 @@ class MeasurementClient:
         the policy carries a ``deadline`` it also bounds each host's
         wall-clock — a hung VM is abandoned and recorded as a failure
         with reason ``timeout`` instead of wedging the whole fan-out.
+
+        The generator keeps no result once it has yielded it, so a
+        consumer that drops each result before asking for the next holds
+        one VM's output at a time.
         """
-        run = MeasurementRun(command=command)
         template = template_for_command(command)
         hosts = list(hosts)
-        deadline = self.retry_policy.deadline
         with span("measure.send", command=command, hosts=len(hosts)):
             for host in hosts:
-                with span("measure.%s" % host, host=str(host)):
-                    try:
-                        if deadline is not None:
-                            result = run_with_deadline(
-                                lambda: self._measure_one(host, command, template),
-                                deadline,
-                                operation="measure.%s" % host,
-                            )
-                        else:
-                            result = self._measure_one(host, command, template)
-                    except Exception as exc:
-                        reason = (
-                            "timeout"
-                            if isinstance(exc, DeadlineExceededError)
-                            else "error"
-                        )
-                        metric_inc("measure.failures")
-                        log_event(
-                            WARNING,
-                            "fault.measure",
-                            "measurement on %s failed: %s" % (host, exc),
-                            host=str(host),
-                            command=command,
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                            reason=reason,
-                        )
-                        result = MeasurementResult(
-                            host=str(host),
-                            machine=str(host),
-                            command=command,
-                            output="",
-                            error=str(exc),
-                            reason=reason,
-                        )
-                run.results.append(result)
-        return run
+                yield self._measure_host(host, command, template)
+
+    def _measure_host(self, host, command: str, template) -> MeasurementResult:
+        """One host's result, or its failure record."""
+        deadline = self.retry_policy.deadline
+        with span("measure.%s" % host, host=str(host)):
+            try:
+                if deadline is not None:
+                    return run_with_deadline(
+                        lambda: self._measure_one(host, command, template),
+                        deadline,
+                        operation="measure.%s" % host,
+                    )
+                return self._measure_one(host, command, template)
+            except Exception as exc:
+                reason = "timeout" if isinstance(exc, DeadlineExceededError) else "error"
+                metric_inc("measure.failures")
+                log_event(
+                    WARNING,
+                    "fault.measure",
+                    "measurement on %s failed: %s" % (host, exc),
+                    host=str(host),
+                    command=command,
+                    error=str(exc),
+                    error_type=type(exc).__name__,
+                    reason=reason,
+                )
+                return MeasurementResult(
+                    host=str(host),
+                    machine=str(host),
+                    command=command,
+                    output="",
+                    error=str(exc),
+                    reason=reason,
+                )
 
     def _measure_one(self, host, command: str, template) -> MeasurementResult:
         vm = self._resolve(host)

@@ -23,7 +23,7 @@ Templates look exactly like TextFSM's::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exceptions import TemplateParseError
 
@@ -50,11 +50,6 @@ class Rule:
     new_state: str | None = None
 
 
-@dataclass
-class _Row:
-    values: dict = field(default_factory=dict)
-
-
 class TextFsm:
     """A compiled template, reusable across many parses."""
 
@@ -64,6 +59,17 @@ class TextFsm:
         self._parse_template(template)
         if "Start" not in self.states:
             raise TemplateParseError("template has no Start state")
+        # name -> (is_list, filldown): what a capture does, by name
+        self._options = {
+            value.name: (value.is_list, value.filldown) for value in self.values
+        }
+        self._filldown_names = frozenset(
+            value.name for value in self.values if value.filldown
+        )
+        self._required = tuple(value.name for value in self.values if value.required)
+        self._lists = tuple(value.name for value in self.values if value.is_list)
+        # an empty row in Value order; List columns get a fresh list per row
+        self._blank = {value.name: "" for value in self.values}
 
     # -- template compilation ----------------------------------------------
     def _parse_template(self, template: str) -> None:
@@ -138,6 +144,10 @@ class TextFsm:
             pattern = re.compile(substituted)
         except re.error as exc:
             raise TemplateParseError("bad rule regex %r: %s" % (substituted, exc)) from exc
+        declared = {value.name for value in self.values}
+        stray = sorted(set(pattern.groupindex) - declared)
+        if stray:
+            raise TemplateParseError("undeclared named group %r in rule" % stray[0])
 
         rule = Rule(pattern=pattern)
         action = action_text.strip()
@@ -167,77 +177,71 @@ class TextFsm:
 
     def parse_text(self, text: str) -> list[list]:
         """Parse input text into rows (lists in Value order)."""
-        rows: list[list] = []
+        return [list(row.values()) for row in self._rows(text)]
+
+    def parse_text_to_dicts(self, text: str) -> list[dict]:
+        """Parse input text into rows (dicts keyed in Value order)."""
+        return self._rows(text)
+
+    def _rows(self, text: str) -> list[dict]:
+        rows: list[dict] = []
         current: dict = {}
         filldown: dict = {}
+        options = self._options
+        states = self.states
         state = "Start"
-
-        def record() -> None:
-            merged = dict(filldown)
-            merged.update(current)
-            # A row needs at least one freshly captured non-Filldown
-            # value; otherwise end-of-input would emit a residual row
-            # holding only carried-over Filldown state.
-            fresh = any(
-                value.name in current and not value.filldown for value in self.values
-            )
-            if not fresh:
-                return
-            for value in self.values:
-                if value.required and value.name not in merged:
-                    return
-            rows.append(
-                [
-                    merged.get(value.name, [] if value.is_list else "")
-                    for value in self.values
-                ]
-            )
-
-        def clear() -> None:
-            current.clear()
-
+        rules = states["Start"]
         for line in text.splitlines():
             if state == "EOF":
                 break
-            rule_index = 0
-            state_rules = self.states.get(state, [])
-            while rule_index < len(state_rules):
-                rule = state_rules[rule_index]
+            for rule in rules:
                 match = rule.pattern.search(line)
                 if match is None:
-                    rule_index += 1
                     continue
                 for name, captured in match.groupdict().items():
                     if captured is None:
                         continue
-                    value_def = next(v for v in self.values if v.name == name)
-                    if value_def.is_list:
+                    is_list, is_filldown = options[name]
+                    if is_list:
                         current.setdefault(name, []).append(captured)
                     else:
                         current[name] = captured
-                        if value_def.filldown:
+                        if is_filldown:
                             filldown[name] = captured
-                if rule.record_op == "Record":
-                    record()
-                    clear()
-                elif rule.record_op == "Clear":
-                    clear()
-                elif rule.record_op == "Error":
+                record_op = rule.record_op
+                if record_op == "Record":
+                    self._record(rows, current, filldown)
+                    current.clear()
+                elif record_op == "Clear":
+                    current.clear()
+                elif record_op == "Error":
                     raise TemplateParseError("Error action hit on line %r" % line)
                 if rule.new_state is not None:
                     state = rule.new_state
-                if rule.line_op == "Continue":
-                    rule_index += 1
-                    continue
-                break  # Next: move to the following line
+                    rules = states.get(state, ())
+                if rule.line_op != "Continue":
+                    break  # Next: move to the following line
         if state != "EOF":
             # Implicit EOF: record a partially assembled row.
-            record()
+            self._record(rows, current, filldown)
         return rows
 
-    def parse_text_to_dicts(self, text: str) -> list[dict]:
-        header = self.header()
-        return [dict(zip(header, row)) for row in self.parse_text(text)]
+    def _record(self, rows: list, current: dict, filldown: dict) -> None:
+        # A row needs at least one freshly captured non-Filldown value;
+        # otherwise end-of-input would emit a residual row holding only
+        # carried-over Filldown state.
+        if current.keys() <= self._filldown_names:
+            return
+        for name in self._required:
+            if name not in current and name not in filldown:
+                return
+        row = dict(self._blank)
+        row.update(filldown)
+        row.update(current)
+        for name in self._lists:
+            if name not in current:
+                row[name] = []
+        rows.append(row)
 
 
 def parse(template: str, text: str) -> list[dict]:

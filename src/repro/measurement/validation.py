@@ -60,21 +60,31 @@ def measured_ospf_graph(lab: EmulatedLab, nidb: Nidb) -> nx.Graph:
     """Build the OSPF adjacency graph of the *running* network.
 
     Runs ``show ip ospf neighbor`` on every router, parses the text
-    output, and maps neighbor router-ids back to device names.
+    output, and maps neighbor router-ids back to device names.  The
+    fan-out is consumed as a stream: one router's output is held at a
+    time.
     """
     client = MeasurementClient(lab, nidb)
     mapper = IpMapper(nidb)
     graph = nx.Graph()
-    routers = [device for device in nidb.routers() if device.ospf]
-    run = client.send("show ip ospf neighbor", [str(d.node_id) for d in routers])
-    for result in run.results:
-        graph.add_node(result.machine)
+    routers = [str(device.node_id) for device in nidb.routers() if device.ospf]
+
+    def neighbors(result) -> tuple[str, dict]:
+        found = {}  # ordered, so the graph's node order follows the text
         for row in result.parsed:
             neighbor = mapper.device_for(row["NEIGHBOR_ID"]) or mapper.device_for(
                 row["ADDRESS"]
             )
             if neighbor is not None:
-                graph.add_edge(result.machine, neighbor)
+                found[neighbor] = None
+        return result.machine, found
+
+    # map() lets each result go before the next one is measured
+    for machine, found in map(
+        neighbors, client.iter_results("show ip ospf neighbor", routers)
+    ):
+        graph.add_node(machine)
+        graph.add_edges_from((machine, neighbor) for neighbor in found)
     return graph
 
 
@@ -95,22 +105,32 @@ def validate_bgp_sessions(lab: EmulatedLab, nidb: Nidb) -> ValidationReport:
     """Compare configured BGP sessions against established ones.
 
     Uses ``show ip bgp summary`` output (text) per router; a session is
-    "measured" when both ends report each other.
+    "measured" when both ends report each other.  The fan-out is
+    consumed as a stream: what is kept per router is the set of peers it
+    reported, never its output or parsed rows.
     """
     client = MeasurementClient(lab, nidb)
     mapper = IpMapper(nidb)
     routers = [device for device in nidb.routers() if device.bgp]
-    run = client.send("show ip bgp summary", [str(d.node_id) for d in routers])
-    half_sessions = set()
-    for result in run.results:
+
+    def peers(result) -> tuple[str, frozenset]:
+        found = set()
         for row in result.parsed:
             peer = mapper.device_for(row["NEIGHBOR"])
             if peer is not None:
-                half_sessions.add((result.machine, peer))
+                found.add(peer)
+        # kept until every router has reported: the copy is sized for its
+        # contents, half the table of a set grown one add at a time
+        return result.machine, frozenset(found)
+
+    hosts = [str(device.node_id) for device in routers]
+    # map() lets each result go before the next one is measured
+    reported = dict(map(peers, client.iter_results("show ip bgp summary", hosts)))
     measured = {
-        tuple(sorted(pair))
-        for pair in half_sessions
-        if (pair[1], pair[0]) in half_sessions
+        (machine, peer) if machine < peer else (peer, machine)
+        for machine, found in reported.items()
+        for peer in found
+        if machine in reported.get(peer, ())
     }
     designed = set()
     for device in routers:

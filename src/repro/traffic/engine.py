@@ -239,7 +239,14 @@ class TrafficEngine:
         return None
 
     def _compute_path(self, src: str, dst: str):
-        """(hop_states, hop_pairs) for src→dst, or None when unroutable."""
+        """(hop_states, hop_pairs) for src→dst, or None when unroutable.
+
+        A powered-off endpoint makes the pair unroutable: it can neither
+        source a trace nor answer one.
+        """
+        running = self.lab.network.machines
+        if src not in running or dst not in running:
+            return None
         address = self._destination_address(dst)
         if address is None:
             return None

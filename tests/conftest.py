@@ -78,6 +78,28 @@ def gadget_lab_cbgp(tmp_path_factory):
     return _gadget_lab("cbgp", tmp_path_factory)
 
 
+@pytest.fixture(scope="session")
+def measured_labs(tmp_path_factory):
+    """Three booted experiments the measured-vs-designed checks run on:
+    Small-Internet, the Figure 5 network and a small RPKI lab."""
+    from repro.design import DEFAULT_RULES
+    from repro.loader import rpki_topology
+    from repro.workflow import run_experiment
+
+    rpki_rules = ("phy", "ipv4", "ospf", "ebgp", "ibgp", "rpki")
+    sources = {
+        "small_internet": (small_internet(), DEFAULT_RULES),
+        "fig5": (fig5_topology(), DEFAULT_RULES),
+        "rpki": (rpki_topology(n_child_cas=2, n_caches=4, n_routers=4), rpki_rules),
+    }
+    return {
+        name: run_experiment(
+            graph, rules=rules, output_dir=str(tmp_path_factory.mktemp(name))
+        )
+        for name, (graph, rules) in sources.items()
+    }
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden",

@@ -39,6 +39,10 @@ class TestTemplateCompilation:
         with pytest.raises(TemplateParseError, match="undeclared"):
             TextFsm("Value X (\\d+)\n\nStart\n  ^${Y} -> Record\n")
 
+    def test_undeclared_named_group_in_rule(self):
+        with pytest.raises(TemplateParseError, match="undeclared named group 'Y'"):
+            TextFsm("Value X (\\d+)\n\nStart\n  ^(?P<Y>a) ${X} -> Record\n")
+
     def test_rule_must_start_with_caret(self):
         with pytest.raises(TemplateParseError, match="must start"):
             TextFsm("Value X (\\d+)\n\nStart\n  ${X} -> Record\n")

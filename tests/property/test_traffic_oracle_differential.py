@@ -111,6 +111,22 @@ def test_fault_schedule_report_equals_the_oracle(lab, capacity, seed):
     assert new.to_json() == old.to_json()
 
 
+@pytest.mark.parametrize("seed", [1, 6])
+def test_endpoint_fault_report_equals_the_oracle(lab, seed):
+    # powered-off endpoints: their flows are unroutable in both engines
+    profile = _profile(
+        [{"kind": "request_response", "qps": 400, "pair_count": 60}],
+        duration=4.0, capacity=20.0, round_seconds=0.5, reconvergence_seconds=0.4,
+    )
+    schedule = FaultSchedule.parse(
+        "at 2 node_down as1r1\nat 3 node_down as300r2\nat 5 node_up as1r1"
+    )
+    new = run_traffic(lab.fork(), profile, seed=seed, schedule=schedule)
+    old = run_oracle_traffic(lab.fork(), profile, seed=seed, schedule=schedule)
+    assert new.classes[0].unroutable_flows > 0
+    assert new.to_json() == old.to_json()
+
+
 @pytest.fixture(scope="module")
 def cost_plan(tmp_path_factory):
     from repro.liveupdate import apply_edits, diff_designs

@@ -111,6 +111,37 @@ class TestFaults:
         second = run_traffic(lab.fork(), profile, seed=9, schedule=schedule)
         assert first.to_json() == second.to_json()
 
+    def test_powered_off_endpoints_make_flows_unroutable(self, lab):
+        """A source and a destination powered off mid-run: their flows
+        are counted as unroutable, and every offered flow is accounted
+        for as delivered, dropped or unroutable."""
+        others = sorted(set(lab.network.machines) - {"as1r1", "as40r1"})
+        profile = make_profile(
+            duration=4.0, capacity=100.0, reconvergence_seconds=0.5,
+            classes=[
+                dict(WEB, name="from_down", qps=200, pair_count=8,
+                     sources=["as1r1"], destinations=others),
+                dict(WEB, name="to_down", qps=200, pair_count=8,
+                     sources=others, destinations=["as40r1"]),
+            ],
+        )
+        schedule = FaultSchedule.parse(
+            "at 1 node_down as1r1\nat 2 node_down as40r1\nat 3 node_up as1r1"
+        )
+        baseline = run_traffic(lab.fork(), profile, seed=4)
+        faulted = run_traffic(lab.fork(), profile, seed=4, schedule=schedule)
+        assert [fault["kind"] for fault in faulted.faults] == [
+            "node_down", "node_down", "node_up"
+        ]
+        assert all(entry.unroutable_flows == 0 for entry in baseline.classes)
+        for entry in faulted.classes:
+            assert entry.unroutable_flows > 0
+            assert entry.delivered_flows > 0  # before the fault
+            assert entry.offered_flows == (
+                entry.delivered_flows + entry.dropped_flows + entry.unroutable_flows
+            )
+        assert faulted.offered_flows == baseline.offered_flows
+
     def test_schedule_naming_unknown_machine_rejected(self, lab):
         schedule = FaultSchedule.parse("at 1 node_down nosuch")
         with pytest.raises(Exception):
