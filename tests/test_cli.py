@@ -370,6 +370,28 @@ class TestLiveUpdateCli:
         assert len(plan) > 0
         assert plan.platform == "netkit"
 
+    @pytest.mark.parametrize(
+        "command, flags, code", [("diff", ["--plan"], 1), ("apply", [], 0)]
+    )
+    def test_dry_run_leaves_tmpdir_untouched(
+        self, command, flags, code, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        from repro.loader import save_graphml, small_internet
+
+        graph = small_internet()
+        graph.edges["as20r1", "as20r2"]["ospf_cost"] = 17
+        edited = tmp_path / "tweak.graphml"
+        save_graphml(graph, edited)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        assert main([command, "small_internet", str(edited), *flags]) == code
+        assert tempfile.gettempdir() == str(scratch)
+        assert os.listdir(scratch) == []
+
     def test_apply_dry_run_exits_zero(self, capsys):
         assert (
             main(["apply", "small_internet", "--delta", self.COST_EDIT]) == 0
