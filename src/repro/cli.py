@@ -1317,8 +1317,13 @@ def _cmd_apply(args, out: CliOutput) -> int:
         out.result(applied=False)
         return 0
 
+    # The trees render on first read, under their own experiment spans.
+    # Render both before any lab is up, so each boot span below times
+    # the boot alone and rendering runs on a small heap.
+    old_dir = delta.old_dir
+    new_dir = delta.new_dir if args.verify or args.rollback else None
     with span("liveupdate.boot_source"):
-        lab = EmulatedLab.boot(delta.old_dir, strict=args.strict, jobs=args.jobs)
+        lab = EmulatedLab.boot(old_dir, strict=args.strict, jobs=args.jobs)
     report = apply_plan(
         lab, plan,
         journal_dir=args.journal_dir,
@@ -1331,7 +1336,7 @@ def _cmd_apply(args, out: CliOutput) -> int:
     if args.verify or args.rollback:
         with span("liveupdate.boot_oracle"):
             fresh = EmulatedLab.boot(
-                delta.new_dir, strict=args.strict, jobs=args.jobs
+                new_dir, strict=args.strict, jobs=args.jobs
             )
         equivalence = verify_equivalence(lab, fresh)
         out.emit("verify: %s" % equivalence.summary())
@@ -1347,7 +1352,7 @@ def _cmd_apply(args, out: CliOutput) -> int:
         out.emit("rollback: %s" % rollback_report.summary())
         with span("liveupdate.boot_original"):
             original = EmulatedLab.boot(
-                delta.old_dir, strict=args.strict, jobs=args.jobs
+                old_dir, strict=args.strict, jobs=args.jobs
             )
         restored = verify_equivalence(lab, original)
         out.emit("rollback verify: %s" % restored.summary())

@@ -39,7 +39,7 @@ from repro.engine.dag import Expansion, Scheduler, Task, TaskGraph
 from repro.engine.executors import make_executor
 from repro.engine.hashing import TemplateHasher, device_cache_key, topology_cache_key
 from repro.exceptions import EngineError, RenderError
-from repro.nidb import Nidb
+from repro.nidb import Nidb, changed_devices
 from repro.observability import (
     INFO,
     Telemetry,
@@ -295,16 +295,8 @@ class BuildEngine:
                     ).compile()
             self.graph, self.anm = new_graph, anm
 
-            new_fingerprints = self.nidb.fingerprints()
-            dirty = {
-                device_id
-                for device_id, fingerprint in new_fingerprints.items()
-                if previous_fingerprints.get(device_id) != fingerprint
-            }
-            removed = sorted(
-                device_id
-                for device_id in previous_fingerprints
-                if device_id not in new_fingerprints
+            dirty, removed = changed_devices(
+                previous_fingerprints, self.nidb.fingerprints()
             )
             log_event(
                 INFO, "engine",

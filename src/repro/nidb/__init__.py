@@ -4,6 +4,7 @@ from repro.nidb.database import (
     ConfigStanza,
     DeviceModel,
     Nidb,
+    changed_devices,
     stable_hash,
     subnet_items,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "DeviceModel",
     "Nidb",
     "NidbDiff",
+    "changed_devices",
     "diff_nidbs",
     "stable_hash",
     "subnet_items",

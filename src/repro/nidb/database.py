@@ -313,6 +313,26 @@ class Nidb:
         )
 
 
+def changed_devices(
+    before: dict[str, str], after: dict[str, str]
+) -> tuple[set[str], list[str]]:
+    """``(dirty, removed)`` between two :meth:`Nidb.fingerprints` maps.
+
+    ``dirty`` holds the devices of ``after`` that are new or whose
+    fingerprint moved; ``removed`` the devices only ``before`` has,
+    sorted.  A device's rendered files are a function of its
+    fingerprint, so every other device renders the same bytes on both
+    sides.
+    """
+    dirty = {
+        device_id
+        for device_id, fingerprint in after.items()
+        if before.get(device_id) != fingerprint
+    }
+    removed = sorted(device_id for device_id in before if device_id not in after)
+    return dirty, removed
+
+
 def subnet_items(nidb: Nidb) -> Iterable[tuple]:
     """(subnet, device, interface) triples across the whole NIDB.
 
