@@ -422,59 +422,6 @@ def _add_campaign_options(sub: argparse.ArgumentParser) -> None:
     _add_observability_options(sub)
 
 
-def _add_perf_options(sub: argparse.ArgumentParser) -> None:
-    """`repro perf` works on benchmark records, not a topology."""
-    sub.add_argument(
-        "action", choices=["record", "compare", "report"],
-        help="append the bench file to history, gate it against the "
-        "committed baseline, or render the trend report",
-    )
-    sub.add_argument(
-        "--bench", default="BENCH_pipeline.json", metavar="PATH",
-        help="benchmark JSON produced by the bench harness "
-        "(default: %(default)s)",
-    )
-    sub.add_argument(
-        "--history", default=os.path.join("benchmarks", "results",
-                                          "history.jsonl"),
-        metavar="PATH",
-        help="baseline history store (default: %(default)s)",
-    )
-    sub.add_argument(
-        "--key", default=None, metavar="BENCH:TOPOLOGY:MODE",
-        help="restrict compare/report to one baseline key",
-    )
-    gate = sub.add_argument_group("tolerance gate")
-    gate.add_argument(
-        "--tolerance", type=float, default=0.15, metavar="RATIO",
-        help="allowed relative drift for wall-clock series "
-        "(default 0.15; a >=20%% slowdown always trips it)",
-    )
-    gate.add_argument(
-        "--metric-tolerance", type=float, default=0.05, metavar="RATIO",
-        help="allowed relative drift for deterministic counters "
-        "(default 0.05)",
-    )
-    gate.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (noisy shared runners)",
-    )
-    sub.add_argument(
-        "--note", default="", help="free-form note stored on the record"
-    )
-    report = sub.add_argument_group("report")
-    report.add_argument(
-        "--format", default="markdown", dest="report_format",
-        choices=["markdown", "html"],
-        help="trend report format (default: markdown)",
-    )
-    report.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="write the trend report here instead of stdout",
-    )
-    _add_observability_options(sub)
-
-
 def _add_traffic_options(sub: argparse.ArgumentParser) -> None:
     """`repro traffic` drives a workload profile over a deployed lab.
 
@@ -605,8 +552,6 @@ _SUBCOMMANDS = [
      _add_apply_options),
     ("campaign", "run a whole experiment matrix with resume and reports",
      _add_campaign_options),
-    ("perf", "record, gate and trend benchmark results against baselines",
-     _add_perf_options),
     ("traffic", "offer a workload profile to a deployed lab and measure it",
      _add_traffic_options),
     ("serve", "run the long-running campaign service with a live dashboard",
@@ -622,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_options in _SUBCOMMANDS:
         sub = commands.add_parser(name, help=help_text)
-        if name in ("campaign", "perf", "traffic", "serve"):
+        if name in ("campaign", "traffic", "serve"):
             add_options(sub)
             continue
         _add_common(sub)
@@ -675,11 +620,10 @@ def main(argv: list[str] | None = None) -> int:
         print("terminated", file=sys.stderr)
         return 143
     except BrokenPipeError:
-        # `repro perf report | head` (or `repro apply | head` closing a
-        # long plan listing early) is normal use.  Point stdout at
-        # /dev/null *before* closing so the interpreter's shutdown
-        # flush cannot raise a second BrokenPipeError and override the
-        # clean exit code with noise.
+        # `repro apply | head` closing a long plan listing early is
+        # normal use.  Point stdout at /dev/null *before* closing so the
+        # interpreter's shutdown flush cannot raise a second
+        # BrokenPipeError and override the clean exit code with noise.
         try:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
@@ -706,7 +650,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "diff": _cmd_diff,
         "apply": _cmd_apply,
         "campaign": _cmd_campaign,
-        "perf": _cmd_perf,
         "traffic": _cmd_traffic,
         "serve": _cmd_serve,
     }[args.command]
@@ -1566,95 +1509,6 @@ def _campaign_report(args, out: CliOutput) -> int:
         summary=campaign_summary(records),
     )
     return 0
-
-
-def _load_bench_records(path: str):
-    """A BENCH_*.json as baseline records (one per bench document).
-
-    All sections (``control_plane``, ``engine``, ``campaign``...)
-    flatten into the record's dotted series, so every number the bench
-    harness emits is a tracked, gateable series under one key.
-    """
-    from repro.observability import git_sha, record_from_bench
-
-    with open(path) as handle:
-        bench = json.load(handle)
-    sha = bench.get("git_sha") or git_sha()
-    return [record_from_bench(bench, sha=sha)]
-
-
-def _cmd_perf(args, out: CliOutput) -> int:
-    from repro.observability import (
-        BaselineStore,
-        compare_records,
-        render_trend_report,
-    )
-
-    store = BaselineStore(args.history)
-    if args.action == "report":
-        keys = [args.key] if args.key else None
-        text = render_trend_report(store, fmt=args.report_format, keys=keys)
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-            out.emit("wrote %s" % args.output, output=args.output)
-        else:
-            out.emit(text)
-        out.result(format=args.report_format, keys=store.keys())
-        return 0
-
-    records = _load_bench_records(args.bench)
-    if args.key:
-        records = [record for record in records if record.key == args.key]
-        if not records:
-            out.emit("no record in %s matches key %s" % (args.bench, args.key))
-            return 2
-
-    if args.action == "record":
-        for record in records:
-            if args.note:
-                record.note = args.note
-            store.append(record)
-            out.emit(
-                "recorded %s @ %s (%d series) -> %s"
-                % (record.key, record.git_sha, len(record.series), store.path),
-                key=record.key, git_sha=record.git_sha,
-            )
-        out.result(
-            history=store.path,
-            recorded=[record.key for record in records],
-        )
-        return 0
-
-    # compare: current bench vs the latest committed baseline per key
-    exit_code = 0
-    comparisons = []
-    for record in records:
-        baseline = store.latest(record.key)
-        if baseline is None:
-            out.emit(
-                "no baseline for %s in %s — record one first"
-                % (record.key, store.path),
-                key=record.key,
-            )
-            continue
-        comparison = compare_records(
-            baseline,
-            record,
-            tolerance=args.tolerance,
-            metric_tolerance=args.metric_tolerance,
-        )
-        comparisons.append(comparison)
-        out.emit(comparison.format())
-        if not comparison.ok and not args.warn_only:
-            exit_code = 1
-    if not comparisons:
-        out.emit("nothing compared (empty history?)")
-    out.result(
-        comparisons=[comparison.to_dict() for comparison in comparisons],
-        warn_only=args.warn_only,
-    )
-    return exit_code
 
 
 def _cmd_serve(args, out: CliOutput) -> int:

@@ -34,17 +34,6 @@ from repro.observability.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.observability.baseline import (
-    SCHEMA_VERSION,
-    BaselineRecord,
-    BaselineStore,
-    PerfComparison,
-    compare_records,
-    environment_fingerprint,
-    git_sha,
-    record_from_bench,
-    render_trend_report,
-)
 from repro.observability.metrics import Histogram, MetricsRegistry
 from repro.observability.profiling import (
     ProfileReport,
@@ -65,8 +54,6 @@ from repro.observability.telemetry import (
 from repro.observability.tracer import NULL_SPAN, Span, Tracer
 
 __all__ = [
-    "BaselineRecord",
-    "BaselineStore",
     "DEBUG",
     "ERROR",
     "EventLog",
@@ -75,21 +62,14 @@ __all__ = [
     "LogEvent",
     "MetricsRegistry",
     "NULL_SPAN",
-    "PerfComparison",
     "ProfileReport",
     "Profiler",
-    "SCHEMA_VERSION",
     "Span",
     "Telemetry",
     "Tracer",
     "WARNING",
     "chrome_trace",
-    "compare_records",
-    "environment_fingerprint",
     "format_span_table",
-    "git_sha",
-    "record_from_bench",
-    "render_trend_report",
     "span_hotspots",
     "current_span",
     "current_telemetry",

@@ -1,13 +1,15 @@
 """Integration: scale (E3/E8), RPKI (E7), IS-IS (E4), Rocketfuel input."""
 
+import inspect
 import os
 
 import pytest
 
 from repro import run_experiment
 from repro.compilers import platform_compiler
+from repro.compilers.base import RouterCompiler
 from repro.deployment import LocalEmulationHost, deploy
-from repro.design import design_network
+from repro.design import build_isis, design_network
 from repro.loader import (
     attach_servers,
     european_nren_model,
@@ -21,8 +23,8 @@ from repro.render import render_nidb
 
 
 class TestNrenScaleSlice:
-    """A reduced-scale slice of the §3.2 experiment (full scale runs in
-    the benchmark harness)."""
+    """A reduced-scale slice of the §3.2 experiment (full scale is the
+    ledger's nren_cold row)."""
 
     @pytest.fixture(scope="class")
     def result(self, tmp_path_factory):
@@ -102,6 +104,29 @@ class TestRpkiDeployment:
 
 class TestIsisExtension:
     """E4 (§7): IS-IS as the extensibility example."""
+
+    @staticmethod
+    def _code_lines(func):
+        return [
+            line.strip()
+            for line in inspect.getsource(func).splitlines()
+            if line.strip()
+            and not line.strip().startswith(("#", '"""', "def ", "@"))
+        ]
+
+    def test_design_rule_is_two_essential_statements(self):
+        """Paper: "2 lines of design code"; the rest is defaulting."""
+        lines = self._code_lines(build_isis)
+        assert len(lines) <= 20
+        essential = [
+            line for line in lines
+            if "add_overlay" in line or "add_edges_from" in line
+        ]
+        assert len(essential) == 2
+
+    def test_compiler_hook_is_about_fifteen_lines(self):
+        """Paper: "15 lines in the compiler"."""
+        assert len(self._code_lines(RouterCompiler.isis)) <= 20
 
     def test_isis_end_to_end(self, tmp_path):
         result = run_experiment(

@@ -36,6 +36,28 @@ def test_small_internet_under_a_second(result):
     assert result.timings["load_build"] + result.timings["compile"] < 1.0
 
 
+#: Lines of the §6.1 walkthrough that design the Small-Internet lab:
+#: 6 (load + phy) + 7 (ospf/ebgp/ibgp overlays).
+WALKTHROUGH_DESIGN_LINES = 13
+
+
+def _line_count(path):
+    with open(path) as handle:
+        return sum(1 for _ in handle)
+
+
+def test_config_volume_dwarfs_the_design(result):
+    """§3.1/§6.1: ~500 lines of router configuration from a dozen lines
+    of design code.  DNS and startup files come on top."""
+    lines = {path: _line_count(path) for path in result.render_result.files}
+    routing = sum(
+        count for path, count in lines.items()
+        if os.path.basename(path) in ("zebra.conf", "ospfd.conf", "bgpd.conf")
+    )
+    assert routing >= 500
+    assert sum(lines.values()) > 30 * WALKTHROUGH_DESIGN_LINES
+
+
 def test_deploy_can_be_skipped(tmp_path):
     result = run_experiment(fig5_topology(), deploy=False, output_dir=str(tmp_path))
     assert result.deployment is None

@@ -151,6 +151,11 @@ class TestRpkiTopology:
         graph = rpki_topology(n_child_cas=10, n_publication_points=4, n_caches=50, n_routers=100)
         assert len(graph) == 1 + 10 + 4 + 50 + 100
 
+    def test_paper_size_is_823_vms(self):
+        """§3.3: "over 800 Linux VMs"; the size the ledger's rpki_cold runs."""
+        graph = rpki_topology(n_child_cas=20, n_caches=400, n_routers=400)
+        assert graph.number_of_nodes() == 823
+
     def test_single_root(self):
         graph = rpki_topology()
         roots = [n for n, d in graph.nodes(data=True) if d.get("ca_root")]

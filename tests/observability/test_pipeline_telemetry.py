@@ -212,28 +212,3 @@ class TestCliTrace:
                      "--chrome-trace", path, "--quiet"]) == 0
         document = json.load(open(path))
         assert document["traceEvents"]
-
-
-class TestBenchRecord:
-    def test_record_pipeline_emits_bench_json(self, result, tmp_path):
-        import importlib.util
-        import os
-        import sys
-
-        bench_dir = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
-        spec = importlib.util.spec_from_file_location(
-            "bench_util", os.path.join(bench_dir, "_util.py")
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        path = module.record_pipeline(
-            result.telemetry,
-            path=str(tmp_path / "BENCH_pipeline.json"),
-            topology="small_internet",
-        )
-        record = json.load(open(path))
-        assert record["bench"] == "pipeline"
-        assert set(record["phases"]) >= {"load_build", "compile", "render", "deploy"}
-        assert record["metrics"]["counters"]["ospf.spf_runs"] > 0
-        assert record["total_seconds"] > 0
-        assert record["topology"] == "small_internet"

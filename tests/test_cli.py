@@ -191,94 +191,6 @@ class TestWhatIf:
         assert "pairs kept:" in capsys.readouterr().out
 
 
-class TestPerf:
-    """`repro perf record|compare|report` — the regression gate."""
-
-    def _bench_file(self, tmp_path, total=1.0, render=0.5,
-                    name="BENCH_current.json"):
-        import json
-
-        bench = {
-            "bench": "pipeline",
-            "topology": "small_internet",
-            "timestamp": 1.0,
-            "git_sha": "abc1234",
-            "total_seconds": total,
-            "phases": {"render": render, "deploy": total - render},
-            "metrics": {"counters": {"bgp.messages": 296}},
-        }
-        path = tmp_path / name
-        path.write_text(json.dumps(bench))
-        return str(path)
-
-    def test_record_then_clean_compare(self, tmp_path, capsys):
-        history = str(tmp_path / "history.jsonl")
-        bench = self._bench_file(tmp_path)
-        assert main(["perf", "record", "--bench", bench,
-                     "--history", history]) == 0
-        out = capsys.readouterr().out
-        assert "recorded pipeline:small_internet:default" in out
-        assert main(["perf", "compare", "--bench", bench,
-                     "--history", history]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_compare_detects_injected_slowdown(self, tmp_path, capsys):
-        history = str(tmp_path / "history.jsonl")
-        baseline = self._bench_file(tmp_path, total=1.0, render=0.5,
-                                    name="BENCH_base.json")
-        assert main(["perf", "record", "--bench", baseline,
-                     "--history", history]) == 0
-        # inject a 25% end-to-end slowdown (>= the 20% acceptance bar)
-        slower = self._bench_file(tmp_path, total=1.25, render=0.5,
-                                  name="BENCH_slow.json")
-        capsys.readouterr()
-        assert main(["perf", "compare", "--bench", slower,
-                     "--history", history]) == 1
-        out = capsys.readouterr().out
-        assert "total_seconds" in out
-        assert "WORSE" in out
-        assert "+25.0%" in out
-
-    def test_warn_only_reports_but_exits_zero(self, tmp_path, capsys):
-        history = str(tmp_path / "history.jsonl")
-        baseline = self._bench_file(tmp_path, name="BENCH_base.json")
-        assert main(["perf", "record", "--bench", baseline,
-                     "--history", history]) == 0
-        slower = self._bench_file(tmp_path, total=2.0, name="BENCH_slow.json")
-        assert main(["perf", "compare", "--bench", slower,
-                     "--history", history, "--warn-only"]) == 0
-        assert "WORSE" in capsys.readouterr().out
-
-    def test_compare_without_baseline_is_not_fatal(self, tmp_path, capsys):
-        bench = self._bench_file(tmp_path)
-        assert main(["perf", "compare", "--bench", bench,
-                     "--history", str(tmp_path / "empty.jsonl")]) == 0
-        assert "no baseline" in capsys.readouterr().out
-
-    def test_report_writes_markdown_trend(self, tmp_path, capsys):
-        history = str(tmp_path / "history.jsonl")
-        bench = self._bench_file(tmp_path)
-        assert main(["perf", "record", "--bench", bench,
-                     "--history", history]) == 0
-        output = str(tmp_path / "trend.md")
-        assert main(["perf", "report", "--history", history,
-                     "-o", output]) == 0
-        text = open(output).read()
-        assert "# Performance trend" in text
-        assert "pipeline:small_internet:default" in text
-        assert "total_seconds" in text
-
-    def test_report_html(self, tmp_path, capsys):
-        history = str(tmp_path / "history.jsonl")
-        bench = self._bench_file(tmp_path)
-        assert main(["perf", "record", "--bench", bench,
-                     "--history", history]) == 0
-        output = str(tmp_path / "trend.html")
-        assert main(["perf", "report", "--history", history,
-                     "--format", "html", "-o", output]) == 0
-        assert open(output).read().startswith("<!doctype html>")
-
-
 class TestProfileFlag:
     """`--profile` wraps any subcommand in the dual profiler."""
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.measurement import MeasurementClient
 from repro.visualization import (
     adjacency_table,
     anm_to_d3,
@@ -89,6 +90,27 @@ class TestHighlight:
             if l["highlighted"]
         }
         assert marked == {("as1r1", "as40r1")}
+
+
+
+class TestPaperFigures:
+    """Figures 1 and 7 come out of this module, as in the paper (§5.6)."""
+
+    def test_figure1_physical_topology(self, si_anm_module):
+        data = overlay_to_d3(si_anm_module["phy"])
+        assert len(data["nodes"]) == 14 and len(data["links"]) == 18
+
+    def test_figure7_highlighted_traceroute(self, si_anm, si_nidb, si_lab):
+        destination = si_nidb.node("as100r2").loopback
+        run = MeasurementClient(si_lab, si_nidb).send(
+            "traceroute -naU %s" % destination, ["as300r2"]
+        )
+        path = ["as300r2"] + run.results[0].mapped_path
+        assert path[-1] == "as100r2"
+        assert run.results[0].as_path[-1] == 100
+        data = highlight_trace(overlay_to_d3(si_anm["phy"]), path)
+        assert data["paths"] == [path]
+        assert sum(link["highlighted"] for link in data["links"]) == len(path) - 1
 
 
 class TestRendering:
