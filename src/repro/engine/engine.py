@@ -195,7 +195,7 @@ class BuildEngine:
         self.fingerprints: dict[str, str] = {}
         self.artifacts: dict[str, Artifact] = {}
         self.render_result: Optional[RenderResult] = None
-        self._hasher = TemplateHasher()
+        self._hasher = TemplateHasher()  # replaced at the start of each build
         self._plan_hits: list[str] = []
         self._plan_misses: list[str] = []
         self._manifest_name: Optional[str] = None
@@ -232,6 +232,7 @@ class BuildEngine:
         if self.output_dir is None:
             self.output_dir = tempfile.mkdtemp(prefix="rendered_")
         self._manifest_name = manifest_name
+        self._hasher = TemplateHasher()
         previous_manifest = self.load_manifest() if prune_stale else None
         with telemetry.activate():
             graph = TaskGraph()
@@ -275,7 +276,8 @@ class BuildEngine:
                 "incremental_update requires a completed build() on this engine"
             )
         telemetry = telemetry or current_telemetry() or Telemetry()
-        previous_fingerprints = dict(self.fingerprints)
+        previous_fingerprints = self.fingerprints
+        self._hasher = TemplateHasher()
         with telemetry.activate():
             new_graph = _as_graph(new_source)
             delta = graph_delta(self.graph, new_graph)
@@ -294,10 +296,9 @@ class BuildEngine:
                         self.platform, anm, host=self.host
                     ).compile()
             self.graph, self.anm = new_graph, anm
+            self.fingerprints = self.nidb.fingerprints()
 
-            dirty, removed = changed_devices(
-                previous_fingerprints, self.nidb.fingerprints()
-            )
+            dirty, removed = changed_devices(previous_fingerprints, self.fingerprints)
             log_event(
                 INFO, "engine",
                 "incremental update: %d dirty, %d removed (%s)"
@@ -339,6 +340,7 @@ class BuildEngine:
 
     def _task_compile(self, _arg) -> Expansion:
         self.nidb = platform_compiler(self.platform, self.anm, host=self.host).compile()
+        self.fingerprints = self.nidb.fingerprints()
         metric_inc("engine.builds")
         return Expansion(tasks=self._plan_render_tasks(), result=self.nidb)
 
@@ -394,7 +396,11 @@ class BuildEngine:
             if limit_to is not None and device_id not in limit_to:
                 continue
             use_cache = self.cache is not None
-            key = device_cache_key(device, self._hasher) if use_cache else None
+            key = (
+                device_cache_key(device, self.fingerprints[device_id], self._hasher)
+                if use_cache
+                else None
+            )
             artifact = self.cache.get(key) if use_cache else None
             if artifact is not None:
                 self._plan_hits.append(device_id)
@@ -547,7 +553,11 @@ class BuildEngine:
 
     def _task_render_topology(self, _arg=None) -> dict:
         use_cache = self.cache is not None
-        key = topology_cache_key(self.nidb, self._hasher) if use_cache else None
+        key = (
+            topology_cache_key(self.nidb, self.fingerprints, self._hasher)
+            if use_cache
+            else None
+        )
         artifact = self.cache.get(key) if use_cache else None
         from_cache = artifact is not None
         if artifact is None:
@@ -594,13 +604,12 @@ class BuildEngine:
 
         if self.nidb is None:
             # load/compile failed in non-strict mode: there is nothing to
-            # fingerprint or collect — return the (empty) partial report.
+            # collect — return the (empty) partial report.
             report.tasks_run = scheduler.tasks_run
             gauge_set("engine.devices_rendered", 0)
             gauge_set("engine.devices_cached", 0)
             return report
 
-        self.fingerprints = self.nidb.fingerprints()
         renderable = [device for device in self._context_devices() if device.render]
         report.devices_total = len(renderable)
         report.rendered_devices.sort()
@@ -638,7 +647,6 @@ class BuildEngine:
         """Remove the output files of devices that left the topology."""
         for owner in owners:
             artifact = self.artifacts.pop(owner, None)
-            self.fingerprints.pop(owner, None)
             if artifact is None:
                 continue
             for entry in artifact.files:

@@ -26,7 +26,11 @@ ENGINE_CACHE_VERSION = 1
 
 
 class TemplateHasher:
-    """Memoises template-source hashes for one build run."""
+    """Memoises template-source hashes for one build run.
+
+    The build engine makes a new one per build, so a template edited
+    between two builds of one engine moves the keys of its devices.
+    """
 
     def __init__(self):
         self._hashes: dict[str, str] = {}
@@ -64,10 +68,14 @@ def _folder_hashes(folder) -> dict[str, str]:
 
 
 def device_cache_key(
-    device: DeviceModel, hasher: TemplateHasher | None = None
+    device: DeviceModel, fingerprint: str, hasher: TemplateHasher
 ) -> str:
-    """The content-addressed key of one device's rendered artifact."""
-    hasher = hasher or TemplateHasher()
+    """The content-addressed key of one device's rendered artifact.
+
+    ``fingerprint`` is ``device.fingerprint()``, taken once per build
+    (the engine's :meth:`Nidb.fingerprints` map), and ``hasher`` is
+    that build's template-source memo.
+    """
     render = device.render
     templates: dict[str, str] = {}
     folders: dict[str, dict[str, str]] = {}
@@ -81,16 +89,20 @@ def device_cache_key(
         {
             "version": ENGINE_CACHE_VERSION,
             "kind": "device",
-            "fingerprint": device.fingerprint(),
+            "fingerprint": fingerprint,
             "templates": templates,
             "folders": folders,
         }
     )
 
 
-def topology_cache_key(nidb: Nidb, hasher: TemplateHasher | None = None) -> str:
-    """The key of the topology-level files — moves when any device does."""
-    hasher = hasher or TemplateHasher()
+def topology_cache_key(
+    nidb: Nidb, fingerprints: dict[str, str], hasher: TemplateHasher
+) -> str:
+    """The key of the topology-level files — moves when any device does.
+
+    ``fingerprints`` is ``nidb.fingerprints()``, taken once per build.
+    """
     templates: dict[str, str] = {}
     render = nidb.topology.render
     if render:
@@ -101,8 +113,8 @@ def topology_cache_key(nidb: Nidb, hasher: TemplateHasher | None = None) -> str:
         {
             "version": ENGINE_CACHE_VERSION,
             "kind": "topology",
-            "topology": nidb.topology.to_dict(),
-            "devices": sorted(nidb.fingerprints().items()),
+            "topology": nidb.topology,
+            "devices": sorted(fingerprints.items()),
             "templates": templates,
         }
     )

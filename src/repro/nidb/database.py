@@ -24,15 +24,25 @@ from repro.exceptions import CompilerError, NodeNotFoundError
 
 
 def stable_hash(value: Any) -> str:
-    """A stable content hash of any JSON-representable value.
+    """A stable content hash of any JSON-representable value or stanza tree.
 
-    Canonical JSON (sorted keys, compact separators, non-JSON leaves
+    Canonical JSON (sorted keys, compact separators, a
+    :class:`ConfigStanza` encoded as its fields, other non-JSON leaves
     stringified) hashed with SHA-256 — the same value always produces
     the same digest across processes and runs, which is what the build
-    engine's content-addressed cache keys require.
+    engine's content-addressed cache keys require.  A stanza tree hashes
+    exactly as its ``to_dict()`` would, without building that copy.
     """
-    payload = json.dumps(value, sort_keys=True, default=str, separators=(",", ":"))
+    payload = json.dumps(
+        value, sort_keys=True, default=_encode, separators=(",", ":")
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, ConfigStanza):
+        return value.__dict__
+    return str(value)
 
 
 class ConfigStanza:
@@ -192,7 +202,7 @@ class DeviceModel(ConfigStanza):
         the build engine can decide from fingerprints alone whether a
         device's configuration needs re-rendering.
         """
-        return stable_hash({"id": str(self.node_id), "state": self.to_dict()})
+        return stable_hash({"id": str(self.node_id), "state": self.__dict__})
 
     def is_router(self) -> bool:
         return self.device_type == "router"

@@ -92,6 +92,22 @@ def test_disk_cache_shared_across_engines(serial_corpus, tmp_path):
     assert _corpus(str(tmp_path / "second")) == serial_corpus
 
 
+def test_template_edit_between_builds_misses_the_cache(tmp_path, monkeypatch):
+    from repro.engine import hashing
+    from repro.loader import fig5_topology
+
+    engine = BuildEngine(jobs=1)
+    engine.build(fig5_topology(), output_dir=str(tmp_path))
+    original = hashing.template_source
+    monkeypatch.setattr(
+        hashing, "template_source", lambda name: original(name) + "\n! edited"
+    )
+    rebuilt = engine.build(fig5_topology(), output_dir=str(tmp_path))
+    assert rebuilt.devices_total == 5
+    assert rebuilt.cache_hits == 0
+    assert rebuilt.cache_misses == rebuilt.devices_total
+
+
 def test_cache_accounting_in_telemetry(tmp_path):
     telemetry = Telemetry()
     engine = BuildEngine(jobs=1)

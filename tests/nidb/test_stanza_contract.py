@@ -8,6 +8,9 @@ fields are stored.
 """
 
 import copy
+import hashlib
+import ipaddress
+import json
 import pickle
 
 import pytest
@@ -16,7 +19,7 @@ from repro.compilers import platform_compiler
 from repro.design import design_network
 from repro.exceptions import CompilerError
 from repro.loader import small_internet
-from repro.nidb import ConfigStanza, DeviceModel
+from repro.nidb import ConfigStanza, DeviceModel, stable_hash
 from repro.render import render_template
 
 #: ``fingerprint()`` of every small_internet device before fields moved
@@ -99,6 +102,47 @@ class TestDeviceState:
     def test_small_internet_fingerprints_are_pinned(self):
         nidb = platform_compiler("netkit", design_network(small_internet())).compile()
         assert nidb.fingerprints() == SMALL_INTERNET_FINGERPRINTS
+
+
+def _plain_hash(value) -> str:
+    """The reference encoding: plain JSON values, other leaves as ``str``."""
+    payload = json.dumps(value, sort_keys=True, default=str, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestStableHash:
+    """Hashing a stanza tree in place equals hashing its ``to_dict()``."""
+
+    @pytest.mark.parametrize("platform", ["netkit", "dynagen", "junosphere", "cbgp"])
+    def test_fingerprints_hash_the_plain_dump(self, platform):
+        anm = design_network(small_internet())
+        nidb = platform_compiler(platform, anm).compile()
+        for device in nidb:
+            plain = {"id": str(device.node_id), "state": device.to_dict()}
+            assert device.fingerprint() == _plain_hash(plain)
+        assert stable_hash(nidb.topology) == _plain_hash(nidb.topology.to_dict())
+
+    def test_non_json_leaves_hash_like_the_plain_dump(self):
+        stanza = ConfigStanza(
+            address=ipaddress.ip_interface("10.0.0.1/30"),
+            neighbors=[
+                {"ip": ipaddress.ip_address("10.0.0.2"), "asn": 2},
+                {"ip": ipaddress.ip_address("10.0.0.6"), "asn": 3},
+            ],
+        )
+        value = {"state": stanza, "pair": ("first", stanza.neighbors[0])}
+        plain = {
+            "state": stanza.to_dict(),
+            "pair": ["first", stanza.neighbors[0].to_dict()],
+        }
+        assert stable_hash(value) == _plain_hash(plain)
+
+    def test_stanzas_with_equal_names_but_other_values_differ(self):
+        first = ConfigStanza(hostname="r1", asn=1)
+        second = ConfigStanza(hostname="r1", asn=2)
+        assert repr(first) == repr(second)
+        assert stable_hash(first) != stable_hash(second)
+        assert stable_hash({"peers": [first]}) != stable_hash({"peers": [second]})
 
 
 def _bgp_device(neighbors: int) -> DeviceModel:

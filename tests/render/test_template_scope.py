@@ -13,7 +13,11 @@ import jinja2
 import pytest
 from jinja2 import meta
 
-from repro.render import environment
+from repro.compilers import platform_compiler
+from repro.design import design_network
+from repro.loader import small_internet
+from repro.nidb import stable_hash
+from repro.render import environment, render_nidb
 
 #: The topology-level outputs, rendered once per lab from every device.
 TOPOLOGY_TEMPLATES = {
@@ -44,3 +48,14 @@ def test_topology_templates_are_bundled():
 def test_device_template_reads_only_node(name):
     assert _free_variables(name) <= {"node"}
 
+
+
+@pytest.mark.parametrize("platform", ["netkit", "dynagen", "junosphere", "cbgp"])
+def test_render_leaves_the_nidb_unchanged(platform, tmp_path):
+    """The engine fingerprints a build's NIDB before rendering it."""
+    nidb = platform_compiler(platform, design_network(small_internet())).compile()
+    before = nidb.fingerprints()
+    topology = stable_hash(nidb.topology)
+    render_nidb(nidb, tmp_path)
+    assert nidb.fingerprints() == before
+    assert stable_hash(nidb.topology) == topology
