@@ -178,7 +178,6 @@ class CampaignRunner:
         limit: int | None = None,
         cache=None,
         cache_dir: str | os.PathLike | None = None,
-        boot_jobs: int = 1,
         profile: bool = False,
         trial_deadline_s: float | None = None,
         phase_deadlines: dict | None = None,
@@ -208,9 +207,6 @@ class CampaignRunner:
         self.retry_policy = retry_policy or NO_RETRY
         self.retry_failed = retry_failed
         self.limit = limit
-        #: Fan-out width for each trial's lab boot (config parsing and
-        #: per-VM bring-up); independent of ``jobs``, the trial fan-out.
-        self.boot_jobs = max(1, boot_jobs)
         #: Capture a per-trial profile (hot functions + collapsed
         #: stacks) into each trial's run directory.
         self.profile = profile
@@ -530,7 +526,6 @@ class CampaignRunner:
             "source": self._resolve_source(trial),
             "run_dir": self.store.trial_dir(trial),
             "retry_policy": self.retry_policy,
-            "boot_jobs": self.boot_jobs,
             "profile": self.profile,
             "trial_deadline_s": deadline,
             "phase_deadlines": dict(self.phase_deadlines),
@@ -596,7 +591,6 @@ def run_campaign(
     limit: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     telemetry: Telemetry | None = None,
-    boot_jobs: int = 1,
     trial_deadline_s: float | None = None,
     stall_after_s: float | None = None,
 ) -> CampaignResult:
@@ -620,7 +614,6 @@ def run_campaign(
         retry_failed=retry_failed,
         limit=limit,
         cache_dir=cache_dir,
-        boot_jobs=boot_jobs,
         trial_deadline_s=trial_deadline_s,
         stall_after_s=stall_after_s,
     )
@@ -758,7 +751,7 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
     from contextlib import nullcontext
 
     from repro.emulation import EmulatedLab, reachability_summary
-    from repro.engine import BuildEngine, SerialExecutor
+    from repro.engine import BuildEngine
     from repro.loader import BUILTIN_TOPOLOGIES, builtin_topology
     from repro.resilience import FaultSchedule, apply_schedule
     from repro.supervision import checkpoint, current_budget
@@ -781,7 +774,6 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
         engine = BuildEngine(
             platform=trial["platform"],
             rules=tuple(trial["rules"]),
-            executor=SerialExecutor(),
             cache=cache,
             use_cache=not payload.get("cache_bypass", False),
         )
@@ -799,7 +791,6 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
             "cache_misses": report.cache_misses,
             "rendered_devices": len(report.rendered_devices),
             "cached_devices": len(report.cached_devices),
-            "tasks_run": report.tasks_run,
         }
         if payload.get("cache_bypass"):
             record["engine"]["cache_bypassed"] = True
@@ -811,14 +802,12 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
         _maybe_inject(overrides, "deploy")
         _maybe_hang(overrides, "deploy")
         max_rounds = int(overrides.get("max_rounds", 64))
-        boot_jobs = int(overrides.get("boot_jobs", payload.get("boot_jobs", 1)))
         with telemetry.span("deploy", trial=payload["trial_id"]):
             lab = retry_call(
                 lambda: EmulatedLab.boot(
                     engine.lab_dir,
                     max_rounds=max_rounds,
                     strict=False,
-                    jobs=boot_jobs,
                 ),
                 policy=policy,
                 operation="campaign.deploy",
@@ -870,7 +859,6 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
                     target.render_result.lab_dir,
                     max_rounds=max_rounds,
                     strict=False,
-                    jobs=boot_jobs,
                 )
                 equivalence = verify_equivalence(lab, fresh)
                 record["liveupdate"]["equivalent"] = equivalence.ok

@@ -64,7 +64,6 @@ KNOWN_OVERRIDES = (
     "reachability",   # measure the loopback reachability matrix (bool)
     "inject_fault",   # force this trial to fail at a stage (chaos hook)
     "lab_name",       # deployment lab name (str)
-    "boot_jobs",      # per-trial boot fan-out width (int, default 1)
     "traffic_seed",   # seed for the trial's traffic engine (int, default 0)
     "inject_hang",    # force this trial to hang at a stage (chaos hook)
     "hang_seconds",   # how long an injected hang sleeps (float, default 30)
@@ -88,19 +87,17 @@ KNOWN_SPEC_KEYS = (
     "max_rounds",        # the trial defaults below
     "deploy",
     "reachability",
-    "boot_jobs",
     "trial_deadline_s",  # supervision settings, outside the trial hashes
     "phase_deadlines",
     "stall_after_s",
 )
 
 #: Top-level keys that seed every trial's overrides.
-_TRIAL_DEFAULT_KEYS = ("max_rounds", "deploy", "reachability", "boot_jobs")
+_TRIAL_DEFAULT_KEYS = ("max_rounds", "deploy", "reachability")
 
 #: Override values that are checked, not coerced: key -> JSON type.
 _TYPED_VALUES = {
     "max_rounds": int,
-    "boot_jobs": int,
     "deploy": bool,
     "reachability": bool,
     "verify_live": bool,

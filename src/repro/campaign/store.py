@@ -32,6 +32,7 @@ from typing import Iterable, Optional
 
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.exceptions import CampaignError
+from repro.supervision import durable_append
 
 INDEX_NAME = "index.jsonl"
 SPEC_NAME = "spec.json"
@@ -167,27 +168,12 @@ class ResultStore:
 
     # -- the index -----------------------------------------------------------
     def append(self, record: TrialRecord) -> None:
-        """Durably add one finished trial: a single appended JSON line.
-
-        If a crash left the index ending mid-line (a torn append with no
-        newline), the new record starts on a fresh line so the torn tail
-        becomes an ordinary skippable torn line instead of corrupting
-        this record.
-        """
+        """Durably add one finished trial: a single appended JSON line
+        (a torn tail left by a crash stays a separate, skippable line)."""
         record.finished_at = record.finished_at or time.time()
         line = json.dumps(record.to_dict(), sort_keys=True, default=str)
         with self._lock:
-            with open(self.index_path, "ab") as handle:
-                if handle.tell() and not self._ends_with_newline():
-                    handle.write(b"\n")
-                handle.write(line.encode() + b"\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    def _ends_with_newline(self) -> bool:
-        with open(self.index_path, "rb") as handle:
-            handle.seek(-1, os.SEEK_END)
-            return handle.read(1) == b"\n"
+            durable_append(self.index_path, line)
 
     def records(self) -> list[TrialRecord]:
         """Every valid index record, in append order (duplicates kept)."""

@@ -208,12 +208,7 @@ def _add_build_options(sub: argparse.ArgumentParser) -> None:
     engine_group = sub.add_argument_group("build engine")
     engine_group.add_argument(
         "-j", "--jobs", type=int, default=1,
-        help="parallel render jobs (default 1: serial)",
-    )
-    engine_group.add_argument(
-        "--executor", default=None,
-        choices=["serial", "thread", "process"],
-        help="executor kind (default: serial for -j1, threads above)",
+        help="render cache misses over N worker processes (default 1: serial)",
     )
     engine_group.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -359,11 +354,6 @@ def _add_campaign_options(sub: argparse.ArgumentParser) -> None:
     runner.add_argument(
         "-j", "--jobs", type=int, default=1,
         help="trials to execute in parallel (default 1: serial)",
-    )
-    runner.add_argument(
-        "--boot-jobs", type=int, default=1, metavar="N",
-        help="fan each trial's config parsing and per-VM bring-up over "
-        "N workers (default 1: serial boot)",
     )
     runner.add_argument(
         "--executor", default=None,
@@ -804,7 +794,7 @@ def _cmd_info(args, out: CliOutput) -> int:
 
 
 def _cmd_build(args, out: CliOutput) -> int:
-    from repro.engine import BuildEngine, make_executor
+    from repro.engine import BuildEngine
 
     if args.incremental and not args.cache_dir:
         print("error: --incremental requires --cache-dir", file=sys.stderr)
@@ -812,7 +802,7 @@ def _cmd_build(args, out: CliOutput) -> int:
     engine = BuildEngine(
         platform=args.platform,
         rules=tuple(args.rules),
-        executor=make_executor(args.jobs, args.executor),
+        jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         strict=args.strict,
@@ -832,14 +822,7 @@ def _cmd_build(args, out: CliOutput) -> int:
         for task_id, error in sorted(report.failed_tasks.items()):
             out.emit("task %s FAILED: %s" % (task_id, error),
                      task=task_id, error=error)
-        if report.skipped_tasks:
-            out.emit("skipped (dependency failed): %s"
-                     % ", ".join(report.skipped_tasks),
-                     skipped=report.skipped_tasks)
-        out.result(
-            failed_tasks=report.failed_tasks,
-            skipped_tasks=report.skipped_tasks,
-        )
+        out.result(failed_tasks=report.failed_tasks)
     if nidb is None or result is None:
         out.emit("build failed before compile completed")
         return 1
@@ -852,10 +835,9 @@ def _cmd_build(args, out: CliOutput) -> int:
     )
     out.emit(
         "engine: %s" % report.summary(),
-        executor=report.executor,
+        jobs=report.jobs,
         cache_hits=report.cache_hits,
         cache_misses=report.cache_misses,
-        tasks_run=report.tasks_run,
     )
     if report.removed_devices:
         out.emit(
@@ -869,10 +851,9 @@ def _cmd_build(args, out: CliOutput) -> int:
         devices=len(nidb),
         elapsed_seconds=result.elapsed_seconds,
         lab_dir=result.lab_dir,
-        executor=report.executor,
+        jobs=report.jobs,
         cache_hits=report.cache_hits,
         cache_misses=report.cache_misses,
-        tasks_run=report.tasks_run,
         rendered_devices=report.rendered_devices,
         cached_devices=report.cached_devices,
     )
@@ -1366,7 +1347,6 @@ def _cmd_campaign(args, out: CliOutput) -> int:
         retry_failed=args.retry_failed,
         limit=args.limit,
         cache_dir=args.cache_dir,
-        boot_jobs=args.boot_jobs,
         profile=bool(args.profile),
         trial_deadline_s=args.trial_deadline,
         stall_after_s=args.stall_after,

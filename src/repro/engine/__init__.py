@@ -1,15 +1,16 @@
-"""repro.engine: a parallel, incremental, content-addressed build engine.
+"""repro.engine: an incremental, content-addressed build engine.
 
-The compile→render half of the pipeline, restructured as a task DAG
-(:mod:`~repro.engine.dag`) run over a pluggable executor
-(:mod:`~repro.engine.executors`) with per-device artifacts cached by
-content hash (:mod:`~repro.engine.hashing`, :mod:`~repro.engine.cache`).
-Entry points: :class:`BuildEngine` for full builds and
-:func:`incremental_update` for change-driven rebuilds.
+The compile→render half of the pipeline as one straight-line build
+(:mod:`~repro.engine.engine`) whose per-device artifacts are cached by
+content hash (:mod:`~repro.engine.hashing`, :mod:`~repro.engine.cache`);
+``jobs>1`` renders the cache misses over a process pool.  Entry points:
+:class:`BuildEngine` for full builds and :func:`incremental_update` for
+change-driven rebuilds.  :mod:`~repro.engine.executors` holds the
+serial/thread/process executors the campaign runner and the lab boot
+fan out over.
 """
 
 from repro.engine.cache import Artifact, ArtifactCache, file_sha, text_sha
-from repro.engine.dag import Expansion, Scheduler, Task, TaskGraph
 from repro.engine.executors import (
     EXECUTOR_KINDS,
     ProcessExecutor,
@@ -38,12 +39,8 @@ __all__ = [
     "BuildReport",
     "ENGINE_CACHE_VERSION",
     "EXECUTOR_KINDS",
-    "Expansion",
     "ProcessExecutor",
-    "Scheduler",
     "SerialExecutor",
-    "Task",
-    "TaskGraph",
     "TemplateHasher",
     "ThreadExecutor",
     "default_jobs",

@@ -1,14 +1,13 @@
-"""The build engine: parallel, incremental, content-addressed builds.
+"""The build engine: incremental, content-addressed builds.
 
-:class:`BuildEngine` runs the compile→render half of the pipeline as a
-task DAG — ``load_build → compile → {render.<device>…, render.topology}
-→ deploy`` — over a pluggable executor (serial, thread pool, process
-pool; ``--jobs N``).  The per-device fan-out is discovered dynamically:
-the compile task expands the graph with one render task per device once
-the NIDB exists.
+:class:`BuildEngine` runs the compile→render half of the pipeline as one
+straight line — ``load_build → compile → render`` — with one telemetry
+span per phase.  Render restores cache hits in the parent, renders the
+misses inline (``jobs=1``) or over one process pool (``jobs>1``), and
+writes the topology files (``lab.conf``, ...) last.
 
-Each device's render task is keyed by a stable content hash of its
-compiled NIDB subtree plus the source of every template it references
+Each device's render is keyed by a stable content hash of its compiled
+NIDB subtree plus the source of every template it references
 (:mod:`repro.engine.hashing`).  Hits in the :class:`ArtifactCache` skip
 rendering entirely — a warm rebuild of an unchanged topology re-renders
 0 device files — and :func:`incremental_update` diffs a new topology
@@ -16,10 +15,13 @@ against the previous run, recompiles only the touched devices (through
 ``PlatformCompiler.compile(only=…)``), and re-renders only the devices
 whose fingerprints moved.
 
-Every task runs under a telemetry span, and the engine maintains
-``engine.cache_hits`` / ``engine.cache_misses`` / ``engine.tasks_run``
-plus per-executor queue/latency histograms, so speedup and cache
-efficacy read straight off ``--metrics``.
+With ``strict=False`` a failing phase or device render is recorded in
+:attr:`BuildReport.failed_tasks` (``"compile"``, ``"render.<id>"``)
+instead of raising, and every other device still renders;
+``retry_policy`` retries each phase and each device render first.  The
+engine maintains ``engine.cache_hits`` / ``engine.cache_misses`` /
+``engine.tasks_failed``, so cache efficacy reads straight off
+``--metrics``.
 """
 
 from __future__ import annotations
@@ -27,21 +29,21 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import NamedTuple, Optional
 
 import networkx as nx
 
 from repro.compilers import platform_compiler
 from repro.design import DEFAULT_RULES, design_network
 from repro.engine.cache import Artifact, ArtifactCache, file_sha, text_sha
-from repro.engine.dag import Expansion, Scheduler, Task, TaskGraph
-from repro.engine.executors import make_executor
 from repro.engine.hashing import TemplateHasher, device_cache_key, topology_cache_key
 from repro.exceptions import EngineError, RenderError
 from repro.nidb import Nidb, changed_devices
 from repro.observability import (
     INFO,
+    WARNING,
     Telemetry,
     current_telemetry,
     gauge_set,
@@ -56,6 +58,8 @@ from repro.render import (
     template_directories,
     topology_render_jobs,
 )
+from repro.resilience import retry_call
+from repro.supervision.context import checkpoint
 
 #: Artifact owner id for the topology-level files (lab.conf, ...).
 TOPOLOGY_OWNER = "__topology__"
@@ -63,12 +67,12 @@ TOPOLOGY_OWNER = "__topology__"
 
 @dataclass
 class BuildReport:
-    """What one engine run did: artifacts, cache traffic, task counts."""
+    """What one engine run did: artifacts, cache traffic, failures."""
 
     output_dir: str = ""
     lab_dir: str = ""
     mode: str = "full"
-    executor: str = "serial"
+    jobs: int = 1
     render_result: Optional[RenderResult] = None
     devices_total: int = 0
     rendered_devices: list[str] = field(default_factory=list)
@@ -76,29 +80,25 @@ class BuildReport:
     removed_devices: list[str] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    tasks_run: int = 0
     files_written: int = 0
     files_unchanged: int = 0
-    deployment: Any = None
-    #: task id -> error text for tasks that failed in non-strict mode
+    #: ``"load_build"``, ``"compile"`` or ``"render.<id>"`` -> error text,
+    #: for what failed in non-strict mode
     failed_tasks: dict = field(default_factory=dict)
-    #: task ids skipped because a dependency failed
-    skipped_tasks: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.failed_tasks and not self.skipped_tasks
+        return not self.failed_tasks
 
     def summary(self) -> str:
         text = (
             "%s build: %d devices (%d rendered, %d from cache), "
-            "%d tasks, cache %d hit / %d miss, %d files written, %d unchanged"
+            "cache %d hit / %d miss, %d files written, %d unchanged"
             % (
                 self.mode,
                 self.devices_total,
                 len(self.rendered_devices),
                 len(self.cached_devices),
-                self.tasks_run,
                 self.cache_hits,
                 self.cache_misses,
                 self.files_written,
@@ -110,8 +110,6 @@ class BuildReport:
                 len(self.failed_tasks),
                 ", ".join(sorted(self.failed_tasks)),
             )
-            if self.skipped_tasks:
-                text += ", %d skipped" % len(self.skipped_tasks)
         return text
 
 
@@ -161,7 +159,7 @@ def graph_delta(old: nx.Graph, new: nx.Graph) -> _GraphDelta:
 
 
 class BuildEngine:
-    """Schedules the compile→render pipeline as a cached, parallel DAG."""
+    """Runs the compile→render pipeline as one cached, straight-line build."""
 
     def __init__(
         self,
@@ -170,7 +168,6 @@ class BuildEngine:
         host: str = "localhost",
         output_dir: str | os.PathLike | None = None,
         jobs: int = 1,
-        executor=None,
         cache: ArtifactCache | None = None,
         cache_dir: str | os.PathLike | None = None,
         use_cache: bool = True,
@@ -181,9 +178,10 @@ class BuildEngine:
         self.rules = tuple(rules)
         self.host = host
         self.output_dir = str(output_dir) if output_dir else None
+        #: 1 renders inline; more renders cache misses over that many processes
+        self.jobs = max(1, jobs)
         self.strict = strict
         self.retry_policy = retry_policy
-        self.executor = executor if executor is not None else make_executor(jobs)
         if not use_cache:
             self.cache: ArtifactCache | None = None
         else:
@@ -196,8 +194,6 @@ class BuildEngine:
         self.artifacts: dict[str, Artifact] = {}
         self.render_result: Optional[RenderResult] = None
         self._hasher = TemplateHasher()  # replaced at the start of each build
-        self._plan_hits: list[str] = []
-        self._plan_misses: list[str] = []
         self._manifest_name: Optional[str] = None
 
     # -- properties ---------------------------------------------------------
@@ -211,14 +207,10 @@ class BuildEngine:
         source,
         output_dir: str | os.PathLike | None = None,
         telemetry: Telemetry | None = None,
-        deploy: bool = False,
-        lab_name: str = "lab",
-        max_rounds: int = 64,
-        deploy_host=None,
         manifest_name: str | None = None,
         prune_stale: bool = False,
     ) -> BuildReport:
-        """Run the full DAG for a topology source (path or graph).
+        """Load, compile and render a topology source (path or graph).
 
         With ``manifest_name`` the build's fingerprint/file map is saved
         to the cache directory; ``prune_stale`` additionally deletes lab
@@ -234,26 +226,13 @@ class BuildEngine:
         self._manifest_name = manifest_name
         self._hasher = TemplateHasher()
         previous_manifest = self.load_manifest() if prune_stale else None
+        report = self._new_report("full")
         with telemetry.activate():
-            graph = TaskGraph()
-            graph.add_task(
-                "load_build", self._task_load, arg=source,
-                phase="load_build", in_parent=True,
-            )
-            graph.add_task(
-                "compile", self._task_compile, deps=("load_build",),
-                phase="compile", in_parent=True,
-            )
-            if deploy:
-                graph.add_task(
-                    "deploy", self._task_deploy,
-                    arg=(lab_name, max_rounds, deploy_host),
-                    deps=("compile",), phase="deploy", in_parent=True,
-                )
-            scheduler = self._scheduler()
-            results = scheduler.run(graph)
-        report = self._assemble_report(results, scheduler, telemetry, mode="full")
-        report.deployment = results.get("deploy")
+            compiled = self._phase(
+                report, "load_build", lambda: self._load(source)
+            ) and self._phase(report, "compile", self._compile)
+            if compiled:
+                self._render(report)
         if previous_manifest is not None:
             report.removed_devices = self._prune_stale(previous_manifest)
         return report
@@ -281,8 +260,10 @@ class BuildEngine:
         with telemetry.activate():
             new_graph = _as_graph(new_source)
             delta = graph_delta(self.graph, new_graph)
+            checkpoint("engine.load_build")
             with span("load_build", incremental=True):
                 anm = design_network(new_graph, rules=self.rules)
+            checkpoint("engine.compile")
             if delta.partial_safe:
                 mode = "incremental-partial"
                 candidates = delta.candidates()
@@ -305,14 +286,9 @@ class BuildEngine:
                 % (len(dirty), len(removed), mode),
                 dirty=sorted(dirty), removed=removed,
             )
-
-            graph = TaskGraph()
-            for task in self._plan_render_tasks(limit_to=dirty):
-                graph.add(task)
-            scheduler = self._scheduler()
-            results = scheduler.run(graph)
+            report = self._new_report(mode)
             self._delete_artifacts(removed)
-        report = self._assemble_report(results, scheduler, telemetry, mode=mode)
+            self._render(report, limit_to=dirty)
         report.removed_devices = removed
         return report
 
@@ -332,205 +308,99 @@ class BuildEngine:
                 device.tap = previous.tap.to_dict()
             self.nidb.replace_device(device)
 
-    # -- DAG task bodies ----------------------------------------------------
-    def _task_load(self, source):
+    # -- phases -------------------------------------------------------------
+    def _new_report(self, mode: str) -> BuildReport:
+        return BuildReport(
+            output_dir=self.output_dir, lab_dir=self.lab_dir, mode=mode, jobs=self.jobs
+        )
+
+    def _phase(self, report: BuildReport, name: str, fn) -> bool:
+        """Run one phase under its span; False when it failed non-strictly."""
+        checkpoint("engine.%s" % name)
+        with span(name):
+            outcome = _attempt(name, fn, self.retry_policy, self.strict)
+        if isinstance(outcome, _Failure):
+            _record_failure(report, outcome)
+            return False
+        return True
+
+    def _load(self, source) -> None:
         self.graph = _as_graph(source)
         self.anm = design_network(self.graph, rules=self.rules)
-        return self.anm
 
-    def _task_compile(self, _arg) -> Expansion:
+    def _compile(self) -> None:
         self.nidb = platform_compiler(self.platform, self.anm, host=self.host).compile()
         self.fingerprints = self.nidb.fingerprints()
         metric_inc("engine.builds")
-        return Expansion(tasks=self._plan_render_tasks(), result=self.nidb)
 
-    def _scheduler(self) -> Scheduler:
-        return Scheduler(
-            self.executor, retry_policy=self.retry_policy, strict=self.strict
-        )
-
-    def _task_deploy(self, arg):
-        from repro.deployment import deploy as deploy_lab
-        from repro.resilience import NO_RETRY
-
-        lab_name, max_rounds, deploy_host = arg
-        return deploy_lab(
-            self.lab_dir,
-            host=deploy_host,
-            lab_name=lab_name,
-            max_rounds=max_rounds,
-            strict=self.strict,
-            retry_policy=self.retry_policy or NO_RETRY,
-        )
-
-    # -- render planning ----------------------------------------------------
     def _context_devices(self) -> list:
         return sorted(self.nidb.nodes(), key=lambda device: str(device.node_id))
 
-    def _plan_render_tasks(self, limit_to: set[str] | None = None) -> list[Task]:
-        """Render (or cache-restore) tasks for every device, plus topology.
+    def _render(self, report: BuildReport, limit_to: set[str] | None = None) -> None:
+        """Restore hits, render misses, then the topology files.
 
-        ``limit_to`` restricts planning to the given device ids (the
+        ``limit_to`` restricts the pass to the given device ids (the
         incremental path); everything else keeps its stored artifact.
-
-        On a serial executor every device gets its own ``render.<id>``
-        task.  With ``jobs > 1`` per-device work is batched into
-        ``jobs * 2`` contiguous ``render.chunk<NN>`` tasks instead: one
-        device's render is far cheaper than a task dispatch (queue hop,
-        span, executor metrics), so per-device fan-out at the 116-device
-        Small-Internet scale made ``--jobs 4`` *slower* than serial —
-        chunking amortises the dispatch overhead while still keeping
-        every worker busy.
         """
-        self._plan_hits, self._plan_misses = [], []
+        checkpoint("engine.render")
         devices = self._context_devices()
         renderable = [device for device in devices if device.render]
-        restore_in_parent = not self.executor.supports_closures
-        tasks: list[Task] = []
-
-        # ("render", device, key) | ("restore", device, key, artifact)
-        closure_items: list[tuple] = []
-        process_ids: list[tuple[str, Optional[str]]] = []
-        for device in renderable:
-            device_id = str(device.node_id)
-            if limit_to is not None and device_id not in limit_to:
-                continue
-            use_cache = self.cache is not None
-            key = (
-                device_cache_key(device, self.fingerprints[device_id], self._hasher)
-                if use_cache
-                else None
-            )
-            artifact = self.cache.get(key) if use_cache else None
-            if artifact is not None:
-                self._plan_hits.append(device_id)
-                if restore_in_parent:
-                    tasks.append(
-                        Task(
-                            "render.%s" % device_id,
-                            self._task_restore,
-                            arg=(device, key, artifact),
-                            phase="render",
-                            in_parent=True,
-                        )
-                    )
-                else:
-                    closure_items.append(("restore", device, key, artifact))
-            else:
-                self._plan_misses.append(device_id)
-                if self.executor.supports_closures:
-                    closure_items.append(("render", device, key))
-                else:
-                    process_ids.append((device_id, key))
-
-        if self.executor.jobs > 1 and len(closure_items) > 1:
-            for index, chunk in enumerate(
-                _chunked(closure_items, self.executor.jobs * 2)
-            ):
-                tasks.append(
-                    Task(
-                        "render.chunk%02d" % index,
-                        self._task_render_chunk,
-                        arg=chunk,
-                        phase="render",
-                    )
-                )
-        else:
-            for item in closure_items:
-                device_id = str(item[1].node_id)
-                if item[0] == "restore":
-                    tasks.append(
-                        Task(
-                            "render.%s" % device_id,
-                            self._task_restore,
-                            arg=item[1:],
-                            phase="render",
-                        )
-                    )
-                else:
-                    tasks.append(
-                        Task(
-                            "render.%s" % device_id,
-                            self._task_render_device,
-                            arg=item[1:],
-                            phase="render",
-                        )
-                    )
-
-        if process_ids:
-            self.executor.prepare(
-                _process_worker_init,
-                (
-                    {
-                        "devices": devices,
-                        "topology": self.nidb.topology,
-                        "lab_dir": self.lab_dir,
-                        "template_dirs": template_directories(),
-                    },
-                ),
-            )
-            if self.executor.jobs > 1 and len(process_ids) > 1:
-                for index, chunk in enumerate(
-                    _chunked(process_ids, self.executor.jobs * 2)
-                ):
-                    tasks.append(
-                        Task(
-                            "render.chunk%02d" % index,
-                            _process_render_chunk,
-                            arg=chunk,
-                            phase="render",
-                        )
-                    )
-            else:
-                for device_id, key in process_ids:
-                    tasks.append(
-                        Task(
-                            "render.%s" % device_id,
-                            _process_render_device,
-                            arg=(device_id, key),
-                            phase="render",
-                        )
-                    )
-
-        tasks.append(
-            Task(
-                "render.topology",
-                self._task_render_topology,
-                phase="render",
-                in_parent=True,
-            )
-        )
         gauge_set("engine.devices_total", len(renderable))
-        return tasks
+        with span("render", devices=len(renderable), jobs=self.jobs) as render_span:
+            misses: list[tuple[str, Optional[str]]] = []
+            for device in renderable:
+                device_id = str(device.node_id)
+                if limit_to is not None and device_id not in limit_to:
+                    continue
+                key = artifact = None
+                if self.cache is not None:
+                    key = device_cache_key(
+                        device, self.fingerprints[device_id], self._hasher
+                    )
+                    artifact = self.cache.get(key)
+                if artifact is None:
+                    report.cache_misses += 1
+                    misses.append((device_id, key))
+                    continue
+                report.cache_hits += 1
+                self._collect(report, _attempt(
+                    "render.%s" % device_id,
+                    lambda: self._restore(device, key, artifact, devices),
+                    self.retry_policy, self.strict,
+                ))
+            renderer = _DeviceRenderer(
+                devices, self.nidb.topology, self.lab_dir,
+                self.retry_policy, self.strict,
+            )
+            for outcome in self._render_misses(renderer, misses):
+                self._collect(report, outcome)
+            with span("render.topology"):
+                self._collect(report, _attempt(
+                    "render.topology", lambda: self._render_topology(devices),
+                    self.retry_policy, self.strict,
+                ))
+        self._finish(report, renderable, render_span.duration)
 
-    # -- render task bodies -------------------------------------------------
-    def _task_render_chunk(self, items) -> dict:
-        """One chunk of per-device work; records come back as a batch."""
-        records = []
-        for item in items:
-            if item[0] == "restore":
-                records.append(self._task_restore(item[1:]))
-            else:
-                records.append(self._task_render_device(item[1:]))
-        return {"chunk": records}
+    def _render_misses(self, renderer: "_DeviceRenderer", misses: list) -> list:
+        """Render every cache miss: inline, or over one process pool.
 
-    def _render_device_artifact(self, device, key: Optional[str]) -> Artifact:
-        jobs = device_render_jobs(device, self.nidb.topology, self._context_devices())
-        return _artifact_from_jobs(str(device.node_id), key or "", jobs)
+        The pool uses the platform's default start method; under fork
+        the workers inherit the compiled devices instead of unpickling
+        them.
+        """
+        if self.jobs == 1 or len(misses) < 2:
+            return [renderer(item) for item in misses]
+        with ProcessPoolExecutor(
+            max_workers=self.jobs,
+            initializer=_install_renderer,
+            initargs=(renderer, template_directories()),
+        ) as pool:
+            # contiguous chunks, two per worker: one device renders far
+            # faster than one pool dispatch, so batching keeps the pipe cheap
+            chunksize = -(-len(misses) // (self.jobs * 2))
+            return list(pool.map(_render_in_worker, misses, chunksize=chunksize))
 
-    def _task_render_device(self, arg) -> dict:
-        device, key = arg
-        artifact = self._render_device_artifact(device, key)
-        written, unchanged = _write_artifact(
-            artifact, self.lab_dir, skip_unchanged=False
-        )
-        return {
-            "owner": artifact.owner, "artifact": artifact, "from_cache": False,
-            "written": written, "unchanged": unchanged,
-        }
-
-    def _task_restore(self, arg) -> dict:
-        device, key, artifact = arg
+    def _restore(self, device, key, artifact: Artifact, devices) -> "_Outcome":
         try:
             written, unchanged = _write_artifact(
                 artifact, self.lab_dir, skip_unchanged=True
@@ -538,110 +408,72 @@ class BuildEngine:
         except (OSError, RenderError):
             # the cached artifact could not be materialised (e.g. a
             # static source file vanished) — fall back to a fresh render
-            artifact = self._render_device_artifact(device, key)
+            artifact = _render_artifact(device, key, self.nidb.topology, devices)
             written, unchanged = _write_artifact(
                 artifact, self.lab_dir, skip_unchanged=False
             )
-            return {
-                "owner": artifact.owner, "artifact": artifact, "from_cache": False,
-                "written": written, "unchanged": unchanged,
-            }
-        return {
-            "owner": artifact.owner, "artifact": artifact, "from_cache": True,
-            "written": written, "unchanged": unchanged,
-        }
+            return _Outcome(artifact, False, written, unchanged)
+        return _Outcome(artifact, True, written, unchanged)
 
-    def _task_render_topology(self, _arg=None) -> dict:
-        use_cache = self.cache is not None
-        key = (
-            topology_cache_key(self.nidb, self.fingerprints, self._hasher)
-            if use_cache
-            else None
-        )
-        artifact = self.cache.get(key) if use_cache else None
+    def _render_topology(self, devices) -> "_Outcome":
+        key = artifact = None
+        if self.cache is not None:
+            key = topology_cache_key(self.nidb, self.fingerprints, self._hasher)
+            artifact = self.cache.get(key)
         from_cache = artifact is not None
         if artifact is None:
-            jobs = topology_render_jobs(self.nidb.topology, self._context_devices())
+            jobs = topology_render_jobs(self.nidb.topology, devices)
             artifact = _artifact_from_jobs(TOPOLOGY_OWNER, key or "", jobs)
         written, unchanged = _write_artifact(artifact, self.lab_dir, skip_unchanged=True)
-        return {
-            "owner": TOPOLOGY_OWNER, "artifact": artifact, "from_cache": from_cache,
-            "written": written, "unchanged": unchanged,
-        }
+        return _Outcome(artifact, from_cache, written, unchanged)
 
     # -- assembly -----------------------------------------------------------
-    def _assemble_report(
-        self, results: dict, scheduler: Scheduler, telemetry: Telemetry, mode: str
-    ) -> BuildReport:
-        report = BuildReport(
-            output_dir=self.output_dir,
-            lab_dir=self.lab_dir,
-            mode=mode,
-            executor=self.executor.kind,
-            failed_tasks={
-                task_id: str(failure)
-                for task_id, failure in scheduler.failures.items()
-            },
-            skipped_tasks=sorted(scheduler.skipped),
-        )
-        for task_id, result in results.items():
-            for record in _flatten_records(result):
-                artifact = record["artifact"]
-                if isinstance(artifact, dict):  # from a process-pool worker
-                    artifact = Artifact.from_dict(artifact)
-                    record["artifact"] = artifact
-                self.artifacts[record["owner"]] = artifact
-                report.files_written += record["written"]
-                report.files_unchanged += record["unchanged"]
-                if record["from_cache"]:
-                    if record["owner"] != TOPOLOGY_OWNER:
-                        report.cached_devices.append(record["owner"])
-                else:
-                    if record["owner"] != TOPOLOGY_OWNER:
-                        report.rendered_devices.append(record["owner"])
-                    if self.cache is not None and artifact.key:
-                        self.cache.put(artifact)
+    def _collect(self, report: BuildReport, outcome) -> None:
+        """Fold one render outcome into the report, the state and the cache."""
+        if isinstance(outcome, _Failure):
+            _record_failure(report, outcome)
+            return
+        artifact = outcome.artifact
+        self.artifacts[artifact.owner] = artifact
+        report.files_written += outcome.written
+        report.files_unchanged += outcome.unchanged
+        metric_inc("engine.files_written", outcome.written)
+        metric_inc("engine.files_unchanged", outcome.unchanged)
+        if outcome.from_cache:
+            if artifact.owner != TOPOLOGY_OWNER:
+                report.cached_devices.append(artifact.owner)
+            return
+        if artifact.owner != TOPOLOGY_OWNER:
+            report.rendered_devices.append(artifact.owner)
+        if self.cache is not None and artifact.key:
+            self.cache.put(artifact)
 
-        if self.nidb is None:
-            # load/compile failed in non-strict mode: there is nothing to
-            # collect — return the (empty) partial report.
-            report.tasks_run = scheduler.tasks_run
-            gauge_set("engine.devices_rendered", 0)
-            gauge_set("engine.devices_cached", 0)
-            return report
-
-        renderable = [device for device in self._context_devices() if device.render]
+    def _finish(
+        self, report: BuildReport, renderable: list, render_seconds: float
+    ) -> None:
         report.devices_total = len(renderable)
         report.rendered_devices.sort()
         report.cached_devices.sort()
-        report.cache_hits = len(self._plan_hits)
-        report.cache_misses = len(self._plan_misses)
-        report.tasks_run = scheduler.tasks_run
 
-        render_result = RenderResult(output_dir=self.output_dir, lab_dir=self.lab_dir)
-        for device in renderable:
-            artifact = self.artifacts.get(str(device.node_id))
+        render_result = RenderResult(
+            output_dir=self.output_dir,
+            lab_dir=self.lab_dir,
+            elapsed_seconds=render_seconds,
+        )
+        owners = [str(device.node_id) for device in renderable] + [TOPOLOGY_OWNER]
+        for owner in owners:
+            artifact = self.artifacts.get(owner)
             if artifact is None:
                 continue
             for entry in artifact.files:
                 render_result.files.append(os.path.join(self.lab_dir, entry["path"]))
                 render_result.total_bytes += entry.get("size", 0)
-        topology_artifact = self.artifacts.get(TOPOLOGY_OWNER)
-        if topology_artifact is not None:
-            for entry in topology_artifact.files:
-                render_result.files.append(os.path.join(self.lab_dir, entry["path"]))
-                render_result.total_bytes += entry.get("size", 0)
-        for finished in reversed(telemetry.tracer.finished):
-            if finished.name == "render":
-                render_result.elapsed_seconds = finished.duration
-                break
         report.render_result = render_result
         self.render_result = render_result
 
         gauge_set("engine.devices_rendered", len(report.rendered_devices))
         gauge_set("engine.devices_cached", len(report.cached_devices))
         self._save_manifest()
-        return report
 
     def _delete_artifacts(self, owners) -> None:
         """Remove the output files of devices that left the topology."""
@@ -702,12 +534,12 @@ class BuildEngine:
         return self.cache.load_manifest(self._manifest_name)
 
     def shutdown(self) -> None:
-        self.executor.shutdown()
+        """Nothing to release: the render pool lives for one build only."""
 
     def __repr__(self) -> str:
-        return "BuildEngine(platform=%r, executor=%s, cache=%s)" % (
+        return "BuildEngine(platform=%r, jobs=%d, cache=%s)" % (
             self.platform,
-            self.executor.kind,
+            self.jobs,
             "off" if self.cache is None else "on",
         )
 
@@ -717,36 +549,50 @@ def incremental_update(engine: BuildEngine, new_source) -> BuildReport:
     return engine.incremental_update(new_source)
 
 
-def _chunked(items: list, chunk_count: int) -> list[tuple]:
-    """Partition ``items`` into at most ``chunk_count`` contiguous runs.
+class _Outcome(NamedTuple):
+    """One artifact put in place under the lab directory."""
 
-    Contiguity keeps chunk membership (and therefore task boundaries)
-    deterministic for a given device ordering, and sizes differ by at
-    most one so no worker inherits a long tail.
+    artifact: Artifact
+    from_cache: bool
+    written: int
+    unchanged: int
+
+
+@dataclass
+class _Failure:
+    """Picklable record of one phase's or device's non-strict failure."""
+
+    task_id: str
+    error: str
+
+
+def _attempt(task_id: str, fn, retry_policy, strict: bool):
+    """Call ``fn()`` under the retry policy.
+
+    In non-strict mode an exception becomes a :class:`_Failure` instead
+    of propagating, which is what lets one device's failure yield a
+    partial build instead of aborting the whole run.
     """
-    count = min(len(items), max(1, chunk_count))
-    size, extra = divmod(len(items), count)
-    chunks, start = [], 0
-    for index in range(count):
-        end = start + size + (1 if index < extra else 0)
-        chunks.append(tuple(items[start:end]))
-        start = end
-    return chunks
+    try:
+        if retry_policy is not None and retry_policy.max_attempts > 1:
+            return retry_call(fn, policy=retry_policy, operation="task.%s" % task_id)
+        return fn()
+    except Exception as exc:
+        if strict:
+            raise
+        return _Failure(task_id, "%s: %s" % (type(exc).__name__, exc))
 
 
-def _flatten_records(result) -> list[dict]:
-    """Per-device records from a task result — single or chunked."""
-    if not isinstance(result, dict):
-        return []
-    if "chunk" in result:
-        return [
-            record
-            for record in result["chunk"]
-            if isinstance(record, dict) and "artifact" in record
-        ]
-    if "artifact" in result:
-        return [result]
-    return []
+def _record_failure(report: BuildReport, failure: _Failure) -> None:
+    report.failed_tasks[failure.task_id] = failure.error
+    metric_inc("engine.tasks_failed")
+    log_event(
+        WARNING,
+        "engine.task_failed",
+        "task %s failed: %s" % (failure.task_id, failure.error),
+        task=failure.task_id,
+        error=failure.error,
+    )
 
 
 def _as_graph(source) -> nx.Graph:
@@ -755,6 +601,7 @@ def _as_graph(source) -> nx.Graph:
     from repro.workflow import load_topology
 
     return load_topology(source)
+
 
 
 def _artifact_from_jobs(owner: str, key: str, jobs) -> Artifact:
@@ -797,7 +644,6 @@ def _write_artifact(
             try:
                 if file_sha(out_path) == entry["sha"]:
                     unchanged += 1
-                    metric_inc("engine.files_unchanged")
                     continue
             except OSError:
                 pass
@@ -813,42 +659,54 @@ def _write_artifact(
                 % entry["path"]
             )
         written += 1
-        metric_inc("engine.files_written")
     return written, unchanged
 
 
+def _render_artifact(device, key: Optional[str], topology, devices) -> Artifact:
+    jobs = device_render_jobs(device, topology, devices)
+    return _artifact_from_jobs(str(device.node_id), key or "", jobs)
+
+
+class _DeviceRenderer:
+    """Renders one cache miss into the lab directory, in the parent or a
+    pool worker, and returns an :class:`_Outcome` or a :class:`_Failure`."""
+
+    def __init__(self, devices, topology, lab_dir: str, retry_policy, strict: bool):
+        self.devices = devices
+        self.by_id = {str(device.node_id): device for device in devices}
+        self.topology = topology
+        self.lab_dir = lab_dir
+        self.retry_policy = retry_policy
+        self.strict = strict
+
+    def __call__(self, item: tuple[str, Optional[str]]):
+        device_id, key = item
+
+        def render() -> _Outcome:
+            artifact = _render_artifact(
+                self.by_id[device_id], key, self.topology, self.devices
+            )
+            written, unchanged = _write_artifact(
+                artifact, self.lab_dir, skip_unchanged=False
+            )
+            return _Outcome(artifact, False, written, unchanged)
+
+        return _attempt(
+            "render.%s" % device_id, render, self.retry_policy, self.strict
+        )
+
+
 # -- process-pool worker side ------------------------------------------------
-_WORKER_CONTEXT: dict = {}
+_WORKER_RENDERER: Optional[_DeviceRenderer] = None
 
 
-def _process_worker_init(context: dict) -> None:
+def _install_renderer(renderer: _DeviceRenderer, template_dirs: list) -> None:
     """Runs once per worker process: install the shared render context."""
-    _WORKER_CONTEXT.clear()
-    _WORKER_CONTEXT.update(context)
-    _WORKER_CONTEXT["by_id"] = {
-        str(device.node_id): device for device in context["devices"]
-    }
-    for path in context.get("template_dirs", []):
+    global _WORKER_RENDERER
+    _WORKER_RENDERER = renderer
+    for path in template_dirs:
         add_template_directory(path)
 
 
-def _process_render_device(arg) -> dict:
-    """Render one device inside a pool worker; returns a plain-dict record."""
-    device_id, key = arg
-    device = _WORKER_CONTEXT["by_id"][device_id]
-    jobs = device_render_jobs(
-        device, _WORKER_CONTEXT["topology"], _WORKER_CONTEXT["devices"]
-    )
-    artifact = _artifact_from_jobs(device_id, key or "", jobs)
-    written, unchanged = _write_artifact(
-        artifact, _WORKER_CONTEXT["lab_dir"], skip_unchanged=False
-    )
-    return {
-        "owner": device_id, "artifact": artifact.to_dict(), "from_cache": False,
-        "written": written, "unchanged": unchanged,
-    }
-
-
-def _process_render_chunk(arg) -> dict:
-    """Render a whole chunk of devices inside one pool-worker dispatch."""
-    return {"chunk": [_process_render_device(item) for item in arg]}
+def _render_in_worker(item: tuple[str, Optional[str]]):
+    return _WORKER_RENDERER(item)

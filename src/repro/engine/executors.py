@@ -1,12 +1,13 @@
 """Pluggable task executors: serial, thread pool, process pool.
 
-The engine hands an executor batches of ``(task_id, fn, arg)`` calls
-and gets results back in submission order.  The serial executor is the
-reference implementation (and the default); the thread executor covers
-the common case — rendering is a mix of template CPU work and file I/O,
-and the GIL is released around the writes; the process executor is for
-pure-CPU scale-out and therefore only accepts picklable module-level
-functions (``supports_closures`` is False).
+Callers hand an executor batches of ``(task_id, fn, arg)`` calls and
+get results back in submission order (:meth:`run`) or as streamed
+completions (:meth:`run_iter`).  The campaign runner steps down this
+ladder when a pool dies; the lab boot fans config parsing and VM
+bring-up over it.  The serial executor is the reference implementation
+(and the default); the thread executor shares the caller's memory; the
+process executor only accepts picklable module-level functions
+(``supports_closures`` is False).
 
 Every executor records per-task queue wait and run time into the
 ambient telemetry (``engine.queue_seconds`` / ``engine.task_seconds``
@@ -26,10 +27,6 @@ from repro.supervision.context import beat as _beat
 
 #: One schedulable unit: (task id, callable, single argument).
 TaskCall = tuple[str, Callable[[Any], Any], Any]
-
-#: One streamed completion from :meth:`run_iter`:
-#: ``(index into the submitted batch, result or None, error or None)``.
-TaskCompletion = tuple[int, Any, Optional[Exception]]
 
 
 def default_jobs() -> int:
@@ -143,11 +140,9 @@ class ProcessExecutor:
     """A process pool for pure-CPU fan-out.
 
     Functions must be picklable (module-level) and arguments
-    self-contained; per-worker context is shipped once via
-    :meth:`prepare` instead of once per task.  Task latencies are
-    measured parent-side as submit-to-done roundtrips
-    (``engine.task_roundtrip_seconds``) because child processes have no
-    shared telemetry.
+    self-contained.  Task latencies are measured parent-side as
+    submit-to-done roundtrips (``engine.task_roundtrip_seconds``)
+    because child processes have no shared telemetry.
     """
 
     kind = "process"
@@ -156,23 +151,10 @@ class ProcessExecutor:
     def __init__(self, jobs: int | None = None):
         self.jobs = max(1, jobs or default_jobs())
         self._pool: Optional[_futures.ProcessPoolExecutor] = None
-        self._initializer = None
-        self._initargs: tuple = ()
-
-    def prepare(self, initializer, initargs: tuple) -> None:
-        """Set (or replace) the per-worker initializer before first use."""
-        if self._pool is not None:
-            self.shutdown()
-        self._initializer = initializer
-        self._initargs = initargs
 
     def _ensure_pool(self) -> _futures.ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = _futures.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
+            self._pool = _futures.ProcessPoolExecutor(max_workers=self.jobs)
             gauge_set("engine.executor.jobs", self.jobs)
         return self._pool
 

@@ -59,7 +59,7 @@ class CompilerError(ReproError):
 
 
 class EngineError(ReproError):
-    """The build engine could not schedule or execute the task graph."""
+    """The build engine could not run a build (e.g. no prior build to update)."""
 
 
 class CampaignError(ReproError):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.exceptions import ServiceError
-from repro.supervision import CancelToken
+from repro.supervision import CancelToken, durable_append
 
 JOBS_NAME = "jobs.jsonl"
 
@@ -267,10 +267,7 @@ class JobJournal:
         entry.setdefault("at", self._clock())
         line = json.dumps(entry, sort_keys=True, default=str)
         with self._lock:
-            with open(self.path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            durable_append(self.path, line)
 
     # -- writes --------------------------------------------------------------
     def submit(self, job: Job) -> None:

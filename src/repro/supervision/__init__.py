@@ -33,6 +33,7 @@ from repro.supervision.journal import (
     OP_START,
     JournalEntry,
     TrialJournal,
+    durable_append,
 )
 from repro.supervision.watchdog import (
     DEFAULT_STALL_MULTIPLIER,
@@ -58,6 +59,7 @@ __all__ = [
     "TrialJournal",
     "JournalEntry",
     "JOURNAL_NAME",
+    "durable_append",
     "OP_START",
     "OP_FINISH",
     "OP_CHECKPOINT",

@@ -76,6 +76,25 @@ class JournalEntry:
         )
 
 
+def durable_append(path: str, line: str) -> None:
+    """Append one line to ``path`` and fsync it.
+
+    If a crash left the file ending mid-line (a torn append with no
+    newline), the new line starts on a fresh line so the torn tail
+    becomes an ordinary skippable torn line instead of swallowing this
+    one.  Callers serialise concurrent writers themselves.
+    """
+    with open(path, "a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")  # append mode: writes land at the end
+        handle.write(line.encode() + b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class TrialJournal:
     """Fsync'd JSONL intent log for one campaign directory."""
 
@@ -95,10 +114,7 @@ class TrialJournal:
         entry.at = entry.at or time.time()
         line = json.dumps(entry.to_dict(), sort_keys=True)
         with self._lock:
-            with open(self.path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            durable_append(self.path, line)
 
     def start(self, trial_id: str, spec_hash: str) -> None:
         """Journal the intent to execute a trial — call *before* submit."""

@@ -129,9 +129,9 @@ def run_experiment(
     bundle) — so the phase durations sum to the experiment total.
 
     Passing a :class:`repro.engine.BuildEngine` routes the
-    load/compile/render phases through the engine's task DAG — parallel
-    executors and the content-addressed artifact cache — instead of the
-    straight-line path; the engine's own platform and rules settings
+    load/compile/render phases through the engine — its content-addressed
+    artifact cache and, with ``jobs>1``, its process-pool render — instead
+    of the plain path; the engine's own platform and rules settings
     take precedence, and the phase spans (and therefore ``timings``)
     keep the same names either way.
 

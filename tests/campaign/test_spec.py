@@ -177,13 +177,12 @@ def test_typed_values_keep_their_hashes():
             "max_rounds": 12,
             "deploy": False,
             "reachability": True,
-            "boot_jobs": 2,
             "overrides": [{}, {"verify_live": False, "max_rounds": 7}],
         }
     )
     assert [trial.spec_hash[:16] for trial in spec] == [
-        "10ddebd39677f498",
-        "259bef4ece7bdcef",
+        "b598f8636cc16c0b",
+        "3552b3d79d75bec5",
     ]
 
 
@@ -197,7 +196,7 @@ BASE = {"name": "n", "topologies": ["fig5"], "platforms": ["netkit"]}
         ({"reachability": 1}, "'reachability'"),
         ({"max_rounds": "abc"}, "'max_rounds'"),
         ({"max_rounds": True}, "'max_rounds'"),
-        ({"boot_jobs": 2.5}, "'boot_jobs'"),
+        ({"overrides": [{"reachability": "yes"}]}, "'reachability'"),
         ({"overrides": [{"max_rounds": "abc"}]}, "'max_rounds'"),
         ({"overrides": [{"verify_live": "no"}]}, "'verify_live'"),
         ({"trials": [{**BASE, "overrides": {"deploy": 0}}]}, "'deploy'"),
@@ -214,6 +213,7 @@ def test_typed_values_are_checked_not_coerced(extra, named):
         "max_round",  # a typo
         "spf_mode",   # removed: the control plane has one mode
         "bgp_mode",
+        "boot_jobs",  # removed: trials boot with the lab's default
     ],
 )
 def test_unknown_top_level_keys_are_rejected(key):

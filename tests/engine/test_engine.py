@@ -1,10 +1,10 @@
-"""The build engine end to end: parallel == serial, caching, incrementality."""
+"""The build engine end to end: process render == serial, caching, incrementality."""
 
 import os
 
 import pytest
 
-from repro.engine import ArtifactCache, BuildEngine, make_executor
+from repro.engine import ArtifactCache, BuildEngine
 from repro.exceptions import EngineError
 from repro.loader import small_internet
 from repro.observability import Telemetry
@@ -36,18 +36,24 @@ def test_serial_build_matches_classic_renderer(serial_corpus, tmp_path):
     assert _corpus(str(tmp_path)) == serial_corpus
 
 
-def test_thread_parallel_build_is_byte_identical(serial_corpus, tmp_path):
-    engine = BuildEngine(jobs=4)
-    engine.build(small_internet(), output_dir=str(tmp_path))
-    engine.shutdown()
-    assert _corpus(str(tmp_path)) == serial_corpus
-
-
 def test_process_parallel_build_is_byte_identical(serial_corpus, tmp_path):
-    engine = BuildEngine(executor=make_executor(2, "process"))
-    engine.build(small_internet(), output_dir=str(tmp_path))
-    engine.shutdown()
+    report = BuildEngine(jobs=2).build(small_internet(), output_dir=str(tmp_path))
+    assert report.ok and report.jobs == 2
+    assert len(report.rendered_devices) == report.devices_total
     assert _corpus(str(tmp_path)) == serial_corpus
+
+
+def test_process_render_fills_the_disk_cache(serial_corpus, tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    BuildEngine(jobs=2, cache_dir=cache_dir).build(
+        small_internet(), output_dir=str(tmp_path / "first")
+    )
+    report = BuildEngine(jobs=2, cache_dir=cache_dir).build(
+        small_internet(), output_dir=str(tmp_path / "second")
+    )
+    assert report.rendered_devices == []
+    assert report.cache_hits == report.devices_total
+    assert _corpus(str(tmp_path / "second")) == serial_corpus
 
 
 def test_parallel_matches_serial_on_reduced_nren(tmp_path):
@@ -58,9 +64,7 @@ def test_parallel_matches_serial_on_reduced_nren(tmp_path):
     BuildEngine(jobs=1).build(graph, output_dir=str(serial_dir))
 
     parallel_dir = tmp_path / "parallel"
-    engine = BuildEngine(jobs=4)
-    engine.build(graph, output_dir=str(parallel_dir))
-    engine.shutdown()
+    BuildEngine(jobs=2).build(graph, output_dir=str(parallel_dir))
 
     corpus = _corpus(str(serial_dir))
     assert corpus and _corpus(str(parallel_dir)) == corpus
@@ -117,7 +121,7 @@ def test_cache_accounting_in_telemetry(tmp_path):
     devices = len(engine.nidb.nodes())
     assert counters["engine.cache_misses"] >= devices
     assert counters["engine.cache_hits"] >= devices
-    assert counters["engine.tasks_run"] > 2 * devices
+    assert counters["engine.builds"] == 2
 
 
 def test_no_cache_mode_always_renders(tmp_path):
@@ -199,13 +203,14 @@ def test_engine_phase_spans_match_workflow(tmp_path):
     assert result.render_result.n_files > 50
 
 
-def test_deploy_through_engine_dag(tmp_path):
-    engine = BuildEngine(jobs=1)
-    report = engine.build(
-        small_internet(), output_dir=str(tmp_path), deploy=True, lab_name="si"
+def test_run_experiment_deploys_an_engine_build(tmp_path):
+    engine = BuildEngine()
+    result = run_experiment(
+        small_internet(), output_dir=str(tmp_path), lab_name="si", engine=engine
     )
-    assert report.deployment is not None
-    assert report.deployment.lab.converged
+    assert result.render_result is engine.render_result
+    assert result.deployment is not None
+    assert result.deployment.lab.converged
 
 
 def test_manifest_prune_removes_stale_outputs(tmp_path):
@@ -225,3 +230,15 @@ def test_manifest_prune_removes_stale_outputs(tmp_path):
     )
     assert str(victim) in report.removed_devices
     assert not os.path.isdir(str(out / "localhost" / "netkit" / str(victim)))
+
+
+def test_each_phase_boundary_is_a_supervision_checkpoint(tmp_path, monkeypatch):
+    from repro.engine import engine as engine_module
+
+    seen = []
+    monkeypatch.setattr(engine_module, "checkpoint", seen.append)
+    engine = BuildEngine()
+    engine.build(small_internet(), output_dir=str(tmp_path))
+    engine.incremental_update(small_internet())
+    phases = ["engine.load_build", "engine.compile", "engine.render"]
+    assert seen == phases + phases

@@ -1,4 +1,4 @@
-"""Failure-isolated builds: partial reports, skips, cache corruption."""
+"""Failure-isolated builds: partial reports, retries, cache corruption."""
 
 import json
 import os
@@ -6,129 +6,106 @@ import os
 import pytest
 
 from repro.engine import ArtifactCache, BuildEngine
+from repro.engine import engine as engine_module
 from repro.engine.cache import text_sha
-from repro.engine.dag import Scheduler, Task, TaskFailure, TaskGraph
-from repro.engine.executors import SerialExecutor, ThreadExecutor
 from repro.exceptions import EngineError, TransientError
 from repro.loader import small_internet
 from repro.observability import Telemetry
 from repro.resilience import RetryPolicy
 
-
-def _boom(_arg):
-    raise EngineError("kaboom")
-
-
-def _ok(_arg):
-    return "fine"
+VICTIM = "as100r1"
+#: inline render (1) and the process-pool render (2)
+JOBS = (1, 2)
 
 
-class TestSchedulerIsolation:
-    def _graph(self):
-        graph = TaskGraph()
-        graph.add_task("a", _ok, in_parent=True)
-        graph.add_task("bad", _boom, deps=("a",), in_parent=True)
-        graph.add_task("good", _ok, deps=("a",), in_parent=True)
-        graph.add_task("dependent", _ok, deps=("bad",), in_parent=True)
-        graph.add_task("grandchild", _ok, deps=("dependent",), in_parent=True)
-        return graph
+@pytest.fixture
+def sabotage(monkeypatch):
+    """Make the VICTIM device's render raise; returns the installer.
 
-    def test_strict_mode_still_raises(self):
-        scheduler = Scheduler(SerialExecutor())
-        with pytest.raises(EngineError, match="kaboom"):
-            scheduler.run(self._graph())
+    The patch is on the module-level render function, so pool workers
+    forked after it see it too.
+    """
+    original = engine_module._render_artifact
 
-    def test_non_strict_isolates_and_cascades(self):
-        scheduler = Scheduler(SerialExecutor(), strict=False)
-        results = scheduler.run(self._graph())
-        assert results["a"] == "fine" and results["good"] == "fine"
-        assert set(scheduler.failures) == {"bad"}
-        assert scheduler.failures["bad"].error_type == "EngineError"
-        # everything downstream of the failure is skipped, transitively
-        assert scheduler.skipped == {"dependent", "grandchild"}
-        assert "bad" not in results and "dependent" not in results
+    def install(error=EngineError("render sabotaged"), times=None):
+        calls = {"n": 0}
 
-    def test_pool_tasks_isolated_too(self):
-        graph = TaskGraph()
-        graph.add_task("bad", _boom)
-        graph.add_task("good", _ok)
-        scheduler = Scheduler(ThreadExecutor(jobs=2), strict=False)
-        results = scheduler.run(graph)
-        assert results["good"] == "fine"
-        assert isinstance(scheduler.failures["bad"], TaskFailure)
+        def render(device, *args):
+            if str(device.node_id) == VICTIM:
+                calls["n"] += 1
+                if times is None or calls["n"] <= times:
+                    raise error
+            return original(device, *args)
 
-    def test_retry_policy_recovers_transients(self):
-        state = {"calls": 0}
+        monkeypatch.setattr(engine_module, "_render_artifact", render)
+        return calls
 
-        def flaky(_arg):
-            state["calls"] += 1
-            if state["calls"] < 3:
-                raise TransientError("warming up")
-            return "warm"
-
-        graph = TaskGraph()
-        graph.add_task("flaky", flaky, in_parent=True)
-        scheduler = Scheduler(
-            SerialExecutor(),
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-        )
-        results = scheduler.run(graph)
-        assert results["flaky"] == "warm"
-        assert state["calls"] == 3
-        assert not scheduler.failures
-
-    def test_telemetry_counts_failures(self):
-        telemetry = Telemetry()
-        with telemetry.activate():
-            Scheduler(SerialExecutor(), strict=False).run(self._graph())
-        counters = telemetry.metrics.snapshot()["counters"]
-        assert counters["engine.tasks_failed"] == 1
-        assert counters["engine.tasks_skipped"] == 2
+    return install
 
 
 class TestEnginePartialBuilds:
-    def test_render_failure_yields_partial_report(self, tmp_path, monkeypatch):
-        engine = BuildEngine(output_dir=tmp_path, strict=False, use_cache=False)
-        original = BuildEngine._task_render_device
+    def test_render_failure_yields_partial_report(self, tmp_path, sabotage):
+        sabotage()
+        for jobs in JOBS:
+            engine = BuildEngine(
+                output_dir=tmp_path / str(jobs), jobs=jobs, strict=False,
+                use_cache=False,
+            )
+            report = engine.build(small_internet())
+            assert not report.ok
+            assert set(report.failed_tasks) == {"render.%s" % VICTIM}
+            assert "render sabotaged" in report.failed_tasks["render.%s" % VICTIM]
+            # every other device still rendered
+            assert len(report.rendered_devices) == report.devices_total - 1
+            assert VICTIM not in report.rendered_devices
+            assert os.path.exists(os.path.join(engine.lab_dir, "lab.conf"))
+            assert "FAILED" in report.summary()
 
-        def sabotage(self, arg):
-            device, key = arg
-            if str(device.node_id) == "as100r1":
-                raise EngineError("render sabotaged")
-            return original(self, arg)
-
-        monkeypatch.setattr(BuildEngine, "_task_render_device", sabotage)
-        report = engine.build(small_internet())
-        assert not report.ok
-        assert set(report.failed_tasks) == {"render.as100r1"}
-        assert "render sabotaged" in report.failed_tasks["render.as100r1"]
-        # every other device still rendered
-        assert len(report.rendered_devices) == report.devices_total - 1
-        assert "as100r1" not in report.rendered_devices
-        assert os.path.exists(os.path.join(engine.lab_dir, "lab.conf"))
-
-    def test_strict_engine_preserves_abort(self, tmp_path, monkeypatch):
-        engine = BuildEngine(output_dir=tmp_path, use_cache=False)
-
-        def sabotage(self, arg):
-            raise EngineError("render sabotaged")
-
-        monkeypatch.setattr(BuildEngine, "_task_render_device", sabotage)
-        with pytest.raises(EngineError, match="sabotaged"):
-            engine.build(small_internet())
+    def test_strict_engine_preserves_abort(self, tmp_path, sabotage):
+        sabotage()
+        for jobs in JOBS:
+            engine = BuildEngine(
+                output_dir=tmp_path / str(jobs), jobs=jobs, use_cache=False
+            )
+            with pytest.raises(EngineError, match="sabotaged"):
+                engine.build(small_internet())
 
     def test_compile_failure_reports_instead_of_crashing(self, tmp_path, monkeypatch):
         engine = BuildEngine(output_dir=tmp_path, strict=False, use_cache=False)
 
-        def sabotage(self, _arg):
+        def sabotage(self):
             raise EngineError("compile sabotaged")
 
-        monkeypatch.setattr(BuildEngine, "_task_compile", sabotage)
+        monkeypatch.setattr(BuildEngine, "_compile", sabotage)
         report = engine.build(small_internet())
         assert not report.ok
-        assert "compile" in report.failed_tasks
+        assert set(report.failed_tasks) == {"compile"}
         assert report.rendered_devices == []
         assert "FAILED" in report.summary()
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_retry_policy_recovers_transient_renders(self, tmp_path, sabotage, jobs):
+        calls = sabotage(TransientError("warming up"), times=2)
+        engine = BuildEngine(
+            output_dir=tmp_path, jobs=jobs, use_cache=False,
+            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0),
+        )
+        report = engine.build(small_internet())
+        assert report.ok
+        assert VICTIM in report.rendered_devices
+        assert len(report.rendered_devices) == report.devices_total
+        if jobs == 1:  # a pool worker's counter stays in the worker
+            assert calls["n"] == 3
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_telemetry_counts_failures(self, tmp_path, sabotage, jobs):
+        sabotage()
+        telemetry = Telemetry()
+        BuildEngine(
+            output_dir=tmp_path, jobs=jobs, strict=False, use_cache=False
+        ).build(small_internet(), telemetry=telemetry)
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["engine.tasks_failed"] == 1
 
 
 class TestCacheCorruption:
