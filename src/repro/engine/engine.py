@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -390,7 +390,7 @@ class BuildEngine:
         """
         if self.jobs == 1 or len(misses) < 2:
             return [renderer(item) for item in misses]
-        with ProcessPoolExecutor(
+        with futures.ProcessPoolExecutor(
             max_workers=self.jobs,
             initializer=_install_renderer,
             initargs=(renderer, template_directories()),
