@@ -603,7 +603,6 @@ def _as_graph(source) -> nx.Graph:
     return load_topology(source)
 
 
-
 def _artifact_from_jobs(owner: str, key: str, jobs) -> Artifact:
     artifact = Artifact(key=key, owner=owner)
     for job in jobs:
