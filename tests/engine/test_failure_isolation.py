@@ -8,6 +8,7 @@ import pytest
 from repro.engine import ArtifactCache, BuildEngine
 from repro.engine import engine as engine_module
 from repro.engine.cache import text_sha
+from repro.engine.engine import _attempt, _DeviceRenderer, _Failure, _Outcome
 from repro.exceptions import EngineError, TransientError
 from repro.loader import small_internet
 from repro.observability import Telemetry
@@ -41,6 +42,83 @@ def sabotage(monkeypatch):
         return calls
 
     return install
+
+
+def _boom():
+    raise EngineError("kaboom")
+
+
+class TestSchedulerIsolation:
+    """The per-task isolation every phase and device render runs under."""
+
+    def test_strict_mode_still_raises(self, tmp_path, monkeypatch):
+        with pytest.raises(EngineError, match="kaboom"):
+            _attempt("bad", _boom, None, strict=True)
+        monkeypatch.setattr(BuildEngine, "_load", lambda self, source: _boom())
+        engine = BuildEngine(output_dir=tmp_path, use_cache=False)
+        with pytest.raises(EngineError, match="kaboom"):
+            engine.build(small_internet())
+
+    def test_non_strict_isolates_and_cascades(self, tmp_path, monkeypatch):
+        failure = _attempt("bad", _boom, None, strict=False)
+        assert failure == _Failure("bad", "EngineError: kaboom")
+        assert _attempt("good", lambda: "fine", None, strict=False) == "fine"
+
+        compiled = []
+        monkeypatch.setattr(BuildEngine, "_load", lambda self, source: _boom())
+        monkeypatch.setattr(BuildEngine, "_compile", lambda self: compiled.append(1))
+        engine = BuildEngine(output_dir=tmp_path, strict=False, use_cache=False)
+        report = engine.build(small_internet())
+        # a failed load fails alone; compile and render downstream never run
+        assert report.failed_tasks == {"load_build": "EngineError: kaboom"}
+        assert compiled == []
+        assert report.rendered_devices == [] and report.devices_total == 0
+        assert not os.path.exists(os.path.join(engine.lab_dir, "lab.conf"))
+
+    def test_pool_tasks_isolated_too(self, tmp_path, sabotage):
+        sabotage()
+        engine = BuildEngine(output_dir=tmp_path, jobs=2, use_cache=False)
+        engine._load(small_internet())
+        engine._compile()
+        devices = engine._context_devices()
+        renderer = _DeviceRenderer(
+            devices, engine.nidb.topology, engine.lab_dir, None, strict=False
+        )
+        misses = [(str(device.node_id), None) for device in devices if device.render]
+        outcomes = engine._render_misses(renderer, misses)
+        # a worker's failure comes back as a record, in order, not as an error
+        assert len(outcomes) == len(misses) > 2
+        for (device_id, _key), outcome in zip(misses, outcomes):
+            if device_id == VICTIM:
+                assert outcome == _Failure(
+                    "render.%s" % VICTIM, "EngineError: render sabotaged"
+                )
+            else:
+                assert isinstance(outcome, _Outcome)
+                assert outcome.artifact.owner == device_id
+
+    def test_retry_policy_recovers_transients(self):
+        state = {"calls": 0}
+
+        def flaky():
+            state["calls"] += 1
+            if state["calls"] < 3:
+                raise TransientError("warming up")
+            return "warm"
+
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
+        assert _attempt("flaky", flaky, policy, strict=True) == "warm"
+        assert state["calls"] == 3
+
+    def test_telemetry_counts_failures(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(BuildEngine, "_compile", lambda self: _boom())
+        telemetry = Telemetry()
+        report = BuildEngine(
+            output_dir=tmp_path, strict=False, use_cache=False
+        ).build(small_internet(), telemetry=telemetry)
+        assert set(report.failed_tasks) == {"compile"}
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["engine.tasks_failed"] == 1
 
 
 class TestEnginePartialBuilds:
