@@ -7,8 +7,8 @@ package drives such a matrix end to end:
   (topologies × platforms × rule-sets × fault-schedules × overrides)
   expand into a deterministic, content-hashed trial list;
 * :mod:`~repro.campaign.runner` — the sharded runner: trials execute
-  through the build engine's executors with one shared artifact cache,
-  per-trial quarantine and retry;
+  inline at ``jobs=1`` or over one process pool above, with one shared
+  artifact cache, per-trial quarantine and retry;
 * :mod:`~repro.campaign.store` — the resumable result store: a JSONL
   index keyed on trial spec hashes plus per-trial run directories;
 * :mod:`~repro.campaign.report` — cross-trial tables (Markdown/CSV,

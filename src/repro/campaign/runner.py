@@ -7,9 +7,9 @@ through the existing build/deploy/emulation stack:
   sharing **one** :class:`~repro.engine.ArtifactCache`, so trials that
   differ only in scenario (fault schedule, round budget) reuse each
   other's compiled/rendered artifacts;
-* trials fan out over the engine's executors (``jobs``/``executor`` —
-  serial, thread, process); process pools share the cache through its
-  on-disk store;
+* ``jobs`` alone picks how trials run: inline at ``jobs=1``, over one
+  process pool above; pool workers share the cache through its on-disk
+  store;
 * each trial is quarantined (``strict=False`` semantics at the campaign
   level): an exception becomes a ``failed`` record in the index — with
   the error, not a traceback — and the rest of the matrix keeps
@@ -41,12 +41,11 @@ On top of that sits the supervision layer (PR 8):
   consecutive trial failures; further trials on that platform are
   *deferred* (left pending, not recorded) until the breaker's cooldown
   admits a probe.
-* **degradation ladder** — when the executor infrastructure itself
-  dies (a process-pool worker SIGKILLed, a broken pool), the runner
-  steps ``process → thread → serial`` and re-runs the unrecorded
-  remainder of the batch; results are bit-identical to a healthy run
-  because records only append on completion.  Repeated artifact-cache
-  corruption likewise degrades to cache-bypass builds.
+* **degradation** — when the process pool itself breaks (a worker
+  SIGKILLed), the unrecorded rest of the run goes inline; results are
+  bit-identical to a healthy run because records only append on
+  completion.  Repeated artifact-cache corruption likewise degrades to
+  cache-bypass builds.
 
 Each trial runs under its own :class:`~repro.observability.Telemetry`
 (trace written into its run directory) while the campaign's telemetry
@@ -58,6 +57,7 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,11 +88,10 @@ from repro.observability import (
 )
 from repro.resilience import NO_RETRY, RetryPolicy, retry_call
 from repro.supervision import (
-    EXECUTOR_LADDER,
     BreakerRegistry,
     Budget,
-    DegradationLadder,
     TrialJournal,
+    beat,
     supervised_call,
 )
 
@@ -116,7 +115,7 @@ class CampaignResult:
     recovered: list[str] = field(default_factory=list)
     #: trial ids deferred because their platform's breaker was open
     deferred: list[str] = field(default_factory=list)
-    #: final executor kind when the run degraded mid-flight, else None
+    #: ``"serial"`` when the process pool broke and the run went inline
     degraded_to: Optional[str] = None
 
     @property
@@ -171,7 +170,6 @@ class CampaignRunner:
         directory: str | os.PathLike | None = None,
         store: ResultStore | None = None,
         jobs: int = 1,
-        executor: str | None = None,
         shard: tuple[int, int] | None = None,
         retry_policy: RetryPolicy | None = None,
         retry_failed: bool = False,
@@ -202,7 +200,6 @@ class CampaignRunner:
                 directory = spec.resolve_path(str(directory))
             self.store = ResultStore(directory)
         self.jobs = max(1, jobs)
-        self.executor_kind = executor
         self.shard = shard
         self.retry_policy = retry_policy or NO_RETRY
         self.retry_failed = retry_failed
@@ -210,8 +207,9 @@ class CampaignRunner:
         #: Capture a per-trial profile (hot functions + collapsed
         #: stacks) into each trial's run directory.
         self.profile = profile
-        self.cache_dir = str(cache_dir) if cache_dir else self.store.cache_dir()
-        self.cache = cache if cache is not None else ArtifactCache(self.cache_dir)
+        self.cache = cache if cache is not None else ArtifactCache(
+            cache_dir or self.store.cache_dir()
+        )
         # Supervision: explicit arguments win over spec-level settings.
         self.trial_deadline_s = (
             trial_deadline_s if trial_deadline_s is not None
@@ -311,7 +309,6 @@ class CampaignRunner:
     def run(self, telemetry: Telemetry | None = None) -> CampaignResult:
         telemetry = telemetry or current_telemetry() or Telemetry()
         started = time.perf_counter()
-        hits_before, misses_before = self.cache.hits, self.cache.misses
         result = CampaignResult(
             campaign=self.spec.name,
             directory=self.store.directory,
@@ -360,139 +357,138 @@ class CampaignRunner:
                     )
                     raise
         result.duration_seconds = time.perf_counter() - started
-        result.cache_hits = self.cache.hits - hits_before
-        result.cache_misses = self.cache.misses - misses_before
         return result
 
     def _execute(self, to_run: list[TrialSpec], result: CampaignResult) -> None:
-        """Chunked execution with breakers and the executor ladder.
+        """Run the trials inline at ``jobs=1``, else over one process pool.
 
-        Trials run in chunks of ``2 × jobs`` so breaker decisions (and
-        cache-bypass degradation) take effect between chunks even
-        though each chunk streams through the executor.  A chunk whose
-        executor infrastructure dies steps down the ladder and re-runs
-        only its unrecorded remainder — idempotent, because records
-        append on completion only.
+        Trials are admitted in chunks of ``2 × jobs`` so breaker
+        decisions (and cache-bypass degradation) take effect between
+        chunks.  The write-ahead contract: journal ``start`` before a
+        chunk runs, index append (fsync) as each trial completes,
+        journal ``finish`` after the append.  If the pool breaks, the
+        unrecorded rest of the run goes inline — idempotent, because
+        records append on completion only.
         """
-        from repro.engine.executors import make_executor
-
-        if not to_run:
-            return
-        resolved = self.executor_kind or (
-            "serial" if self.jobs <= 1 else "thread"
-        )
-        ladder = DegradationLadder(EXECUTOR_LADDER, start=resolved)
+        pool = None
+        if self.jobs > 1 and to_run:
+            pool = futures.ProcessPoolExecutor(max_workers=self.jobs)
         queue = list(to_run)
-        chunk_size = max(1, self.jobs) * 2
-        while queue:
-            if self.cancel is not None:
-                self.cancel.raise_if_cancelled("campaign %s" % self.spec.name)
-            chunk: list[TrialSpec] = []
-            while queue and len(chunk) < chunk_size:
-                trial = queue.pop(0)
-                breaker = self.breakers.get(trial.platform)
-                if breaker.allow():
-                    chunk.append(trial)
-                else:
-                    result.deferred.append(trial.trial_id)
-                    metric_inc("campaign.trials_deferred")
-                    log_event(
-                        WARNING,
-                        "campaign.deferred",
-                        "trial %s deferred: %s breaker is open"
-                        % (trial.trial_id, trial.platform),
-                        trial=trial.trial_id,
-                        platform=trial.platform,
-                    )
-            remaining = chunk
-            while remaining:
-                executor = make_executor(self.jobs, ladder.current)
-                completed, infra_error = self._run_chunk(
-                    executor, remaining, result
-                )
-                remaining = [
-                    trial for trial in remaining
-                    if trial.spec_hash not in completed
-                ]
-                if infra_error is None:
-                    break
-                if not remaining:
-                    break
-                stepped = ladder.step(
-                    "%s executor died: %s: %s"
-                    % (
-                        ladder.current,
-                        type(infra_error).__name__,
-                        infra_error,
-                    )
-                )
-                if stepped is None:
-                    raise CampaignError(
-                        "executor infrastructure failed with no fallback "
-                        "left (%s): %s"
-                        % (ladder.current, infra_error)
-                    ) from infra_error
-        if ladder.degraded:
-            result.degraded_to = ladder.current
-
-    def _run_chunk(
-        self, executor, trials: list[TrialSpec], result: CampaignResult
-    ) -> tuple[set, Optional[Exception]]:
-        """One chunk through one executor; returns (done hashes, infra error).
-
-        The write-ahead contract lives here: journal ``start`` before
-        submission, index append (fsync) on completion, journal
-        ``finish`` after the append.  An executor-level exception (a
-        broken process pool) is *collected*, not raised — the caller
-        decides whether to degrade and re-run the remainder.
-        """
-        from repro.engine.executors import iter_calls
-
-        calls = [
-            (trial.trial_id, _execute_trial, self._payload(executor, trial))
-            for trial in trials
-        ]
-        for trial in trials:
-            self.journal.start(trial.trial_id, trial.spec_hash)
-        completed: set = set()
-        infra_error: Optional[Exception] = None
         try:
-            for index, record_dict, error in iter_calls(executor, calls):
-                trial = trials[index]
-                if error is not None:
-                    # The trial body never raises (it quarantines), so
-                    # an error in the completion slot means the executor
-                    # infrastructure itself failed under this trial.
-                    infra_error = error
-                    metric_inc("campaign.executor_failures")
-                    log_event(
-                        WARNING,
-                        "campaign.executor",
-                        "executor failure under trial %s: %s: %s"
-                        % (trial.trial_id, type(error).__name__, error),
-                        trial=trial.trial_id,
-                        error=str(error),
-                        error_type=type(error).__name__,
+            while queue:
+                if self.cancel is not None:
+                    self.cancel.raise_if_cancelled("campaign %s" % self.spec.name)
+                chunk = self._admit(queue, result)
+                for trial in chunk:
+                    self.journal.start(trial.trial_id, trial.spec_hash)
+                if pool is not None:
+                    chunk = self._run_in_pool(pool, chunk, result)
+                    if chunk:
+                        pool.shutdown()
+                        pool = None
+                        self._degrade(result)
+                for trial in chunk:
+                    self._record(
+                        trial, _execute_trial(self._payload(trial), self.cache), result
                     )
-                    continue
-                record = TrialRecord.from_dict(record_dict)
-                self.store.append(record)
-                self.store.write_trial_result(record)
-                self.journal.finish(
-                    record.trial_id, record.spec_hash, record.status
-                )
-                result.records.append(record)
-                self._account(record)
-                breaker = self.breakers.get(trial.platform)
-                if record.ok:
-                    breaker.record_success()
-                else:
-                    breaker.record_failure()
-                self._note_cache_health(record)
-                completed.add(record.spec_hash)
         finally:
-            executor.shutdown()
-        return completed, infra_error
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+    def _admit(
+        self, queue: list[TrialSpec], result: CampaignResult
+    ) -> list[TrialSpec]:
+        """Pop the next chunk off ``queue``, deferring open-breaker platforms."""
+        chunk: list[TrialSpec] = []
+        while queue and len(chunk) < 2 * self.jobs:
+            trial = queue.pop(0)
+            if self.breakers.get(trial.platform).allow():
+                chunk.append(trial)
+                continue
+            result.deferred.append(trial.trial_id)
+            metric_inc("campaign.trials_deferred")
+            log_event(
+                WARNING,
+                "campaign.deferred",
+                "trial %s deferred: %s breaker is open"
+                % (trial.trial_id, trial.platform),
+                trial=trial.trial_id,
+                platform=trial.platform,
+            )
+        return chunk
+
+    def _run_in_pool(
+        self, pool, chunk: list[TrialSpec], result: CampaignResult
+    ) -> list[TrialSpec]:
+        """One chunk over the pool; returns the trials it left unrecorded.
+
+        The trial body never raises (it quarantines), so an error in a
+        completion slot means the pool itself failed under that trial.
+        """
+        unrecorded = list(chunk)
+        try:
+            pending = {
+                pool.submit(_execute_trial, self._payload(trial)): trial
+                for trial in chunk
+            }
+        except futures.BrokenExecutor as error:  # broke between chunks
+            self._note_pool_failure(chunk[0], error)
+            return unrecorded
+        for future in futures.as_completed(pending):
+            trial = pending[future]
+            try:
+                record = future.result()
+            except Exception as error:
+                self._note_pool_failure(trial, error)
+                continue
+            self._record(trial, record, result)
+            unrecorded.remove(trial)
+        return unrecorded
+
+    def _note_pool_failure(self, trial: TrialSpec, error: Exception) -> None:
+        metric_inc("campaign.executor_failures")
+        log_event(
+            WARNING,
+            "campaign.executor",
+            "executor failure under trial %s: %s: %s"
+            % (trial.trial_id, type(error).__name__, error),
+            trial=trial.trial_id,
+            error=str(error),
+            error_type=type(error).__name__,
+        )
+
+    def _degrade(self, result: CampaignResult) -> None:
+        """The pool broke: say so loudly, then run the rest inline."""
+        result.degraded_to = "serial"
+        metric_inc("supervision.degraded")
+        log_event(
+            WARNING,
+            "supervision.degraded",
+            "degrading process -> serial: the process pool broke",
+            from_level="process",
+            to_level="serial",
+        )
+
+    def _record(
+        self, trial: TrialSpec, record_dict: dict, result: CampaignResult
+    ) -> None:
+        """Land one finished trial: index, then journal finish, then books."""
+        record = TrialRecord.from_dict(record_dict)
+        self.store.append(record)
+        self.store.write_trial_result(record)
+        self.journal.finish(record.trial_id, record.spec_hash, record.status)
+        result.records.append(record)
+        cache = record.engine.get("cache") or {}
+        result.cache_hits += cache.get("hits", 0)
+        result.cache_misses += cache.get("misses", 0)
+        self._account(record)
+        breaker = self.breakers.get(trial.platform)
+        if record.ok:
+            breaker.record_success()
+        else:
+            breaker.record_failure()
+        self._note_cache_health(record)
+        beat()
 
     def _note_cache_health(self, record: TrialRecord) -> None:
         """Degrade to cache-bypass builds on repeated cache corruption."""
@@ -515,11 +511,11 @@ class CampaignRunner:
                 corruptions=self._cache_corrupt_seen,
             )
 
-    def _payload(self, executor, trial: TrialSpec) -> dict:
+    def _payload(self, trial: TrialSpec) -> dict:
         deadline = trial.override("trial_deadline_s")
         if deadline is None:
             deadline = self.trial_deadline_s
-        payload = {
+        return {
             "trial": trial.canonical(),
             "trial_id": trial.trial_id,
             "spec_hash": trial.spec_hash,
@@ -531,12 +527,8 @@ class CampaignRunner:
             "phase_deadlines": dict(self.phase_deadlines),
             "stall_after_s": self.stall_after_s,
             "cache_bypass": self.cache_bypass,
+            "cache_dir": self.cache.directory,  # pool workers share via disk
         }
-        if executor.supports_closures:
-            payload["_cache"] = self.cache  # share the in-memory level too
-        else:
-            payload["cache_dir"] = self.cache_dir  # processes share via disk
-        return payload
 
     def _resolve_source(self, trial: TrialSpec) -> str:
         """Builtin names pass through; paths resolve beside the spec file."""
@@ -584,7 +576,6 @@ def run_campaign(
     spec,
     directory: str | os.PathLike | None = None,
     jobs: int = 1,
-    executor: str | None = None,
     shard: tuple[int, int] | None = None,
     retry_policy: RetryPolicy | None = None,
     retry_failed: bool = False,
@@ -608,7 +599,6 @@ def run_campaign(
         spec,
         directory=directory,
         jobs=jobs,
-        executor=executor,
         shard=shard,
         retry_policy=retry_policy,
         retry_failed=retry_failed,
@@ -620,9 +610,14 @@ def run_campaign(
     return runner.run(telemetry=telemetry)
 
 
-# -- trial execution (runs on the executor, possibly in another process) -----
-def _execute_trial(payload: dict) -> dict:
+# -- trial execution (inline, or in a pool worker process) -------------------
+def _execute_trial(payload: dict, cache=None) -> dict:
     """Run one trial end to end; always returns a plain record dict.
+
+    ``cache`` is the runner's own cache when the trial runs inline; a
+    pool worker opens the same directory (``payload["cache_dir"]``).
+    Either way ``engine.cache`` in the record holds the hits and misses
+    this trial added to the cache it built against.
 
     Every exception except ``KeyboardInterrupt``/``SystemExit``/
     ``TerminationRequested`` is quarantined into the record — a
@@ -636,9 +631,9 @@ def _execute_trial(payload: dict) -> dict:
     trial = payload["trial"]
     trial_id = payload["trial_id"]
     run_dir = payload["run_dir"]
-    cache = payload.get("_cache")
-    if cache is None and payload.get("cache_dir"):
+    if cache is None:
         cache = ArtifactCache(payload["cache_dir"])
+    hits_before, misses_before = cache.hits, cache.misses
     os.makedirs(run_dir, exist_ok=True)
 
     telemetry = Telemetry()
@@ -659,9 +654,8 @@ def _execute_trial(payload: dict) -> dict:
     if payload.get("profile"):
         from repro.observability.profiling import Profiler
 
-        # Deterministic profiling is per-thread: with thread-parallel
-        # trials the sampler's stacks are best-effort shared, but the
-        # cProfile hot-function table stays exact per trial.
+        # Each trial runs alone in its process (inline, or in a pool
+        # worker), so the sampler sees only this trial's stacks.
         profiler = Profiler()
 
     def run_body():
@@ -709,9 +703,13 @@ def _execute_trial(payload: dict) -> dict:
         record["status"] = STATUS_FAILED
         record["error"] = "%s: %s" % (type(error).__name__, error)
     record["duration_seconds"] = time.perf_counter() - started
+    record["engine"]["cache"] = {
+        "hits": cache.hits - hits_before,
+        "misses": cache.misses - misses_before,
+    }
     corrupt = telemetry.metrics.value("engine.cache_corrupt")
     if corrupt:
-        record.setdefault("engine", {})["cache_corrupt"] = corrupt
+        record["engine"]["cache_corrupt"] = corrupt
     try:
         telemetry.write_trace(os.path.join(run_dir, "trace.jsonl"))
     except OSError:

@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.exceptions import CampaignError
-from repro.supervision import durable_append
+from repro.supervision import durable_append, durable_replace
 
 INDEX_NAME = "index.jsonl"
 SPEC_NAME = "spec.json"
@@ -296,10 +296,7 @@ class ResultStore:
                 for trial in spec
             ],
         }
-        temp_path = self.spec_path + ".tmp"
-        with open(temp_path, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
-        os.replace(temp_path, self.spec_path)
+        durable_replace(self.spec_path, json.dumps(data, indent=2, sort_keys=True))
         return self.spec_path
 
     def load_spec(self) -> CampaignSpec:

@@ -353,12 +353,8 @@ def _add_campaign_options(sub: argparse.ArgumentParser) -> None:
     runner = sub.add_argument_group("runner")
     runner.add_argument(
         "-j", "--jobs", type=int, default=1,
-        help="trials to execute in parallel (default 1: serial)",
-    )
-    runner.add_argument(
-        "--executor", default=None,
-        choices=["serial", "thread", "process"],
-        help="executor kind (default: serial for -j1, threads above)",
+        help="trials to execute in parallel (default 1: inline; above 1: "
+        "one process pool)",
     )
     runner.add_argument(
         "--shard", default=None, metavar="I/N",
@@ -1341,7 +1337,6 @@ def _cmd_campaign(args, out: CliOutput) -> int:
         spec,
         directory=directory,
         jobs=args.jobs,
-        executor=args.executor,
         shard=_parse_shard(args.shard),
         retry_policy=_retry_policy(args),
         retry_failed=args.retry_failed,

@@ -125,7 +125,7 @@ class EmulatedLab:
         """Parse a rendered lab directory and bring the network up.
 
         ``jobs`` fans per-machine config parsing and per-VM bring-up
-        over the engine executors; every width produces an identical
+        over the engine's thread executor; every width produces an identical
         lab — the parallel-boot determinism tests pin that down.
         """
         lab_dir = str(lab_dir)
@@ -244,9 +244,9 @@ class EmulatedLab:
         """
         names = sorted(self.network.machines)
         if self.jobs > 1 and len(names) > 1:
-            from repro.engine.executors import make_executor, run_calls
+            from repro.engine.executors import ThreadExecutor, run_calls
 
-            executor = make_executor(self.jobs)
+            executor = ThreadExecutor(self.jobs)
             try:
                 with span("emulation.vms", jobs=self.jobs, machines=len(names)):
                     handles = run_calls(

@@ -187,7 +187,7 @@ def parse_dynagen_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
     """Parse a rendered Dynagen lab: lab.net plus configs/*.cfg.
 
     Per-router configs are independent; ``jobs > 1`` fans the parses
-    out over the engine executors with results assembled in sorted
+    out over the engine's thread executor with results assembled in sorted
     order, identical to a serial parse.
     """
     lab_dir = str(lab_dir)

@@ -300,7 +300,7 @@ def parse_junosphere_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent
     """Parse a rendered Junosphere lab: topology.vmm plus configs/.
 
     Per-router configs are independent; ``jobs > 1`` fans the parses
-    out over the engine executors with results assembled in sorted
+    out over the engine's thread executor with results assembled in sorted
     order, identical to a serial parse.  The VMM wiring pass stays
     serial — it is one small file applied after all devices exist.
     """

@@ -162,7 +162,7 @@ def parse_netkit_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
 
     Each machine's files (startup + quagga + service trees) are
     independent, so with ``jobs > 1`` the per-machine parses fan out
-    over the engine's executors; the devices dict is assembled in
+    over the engine's thread executor; the devices dict is assembled in
     sorted machine order either way, so the resulting intent is
     identical to a serial parse.
 

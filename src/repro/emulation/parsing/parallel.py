@@ -3,7 +3,7 @@
 Every platform parser has the same shape: a cheap global pass (the
 wiring file) followed by fully independent per-machine work (reading
 and parsing that machine's configuration files).  The per-machine part
-is what ``jobs`` parallelises, reusing the engine's executors so the
+is what ``jobs`` parallelises, reusing the engine's thread executor so the
 same ``--jobs`` knob governs builds and boots alike.
 
 Determinism: results are returned in the caller's machine order
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.engine.executors import make_executor, run_calls
+from repro.engine.executors import ThreadExecutor, run_calls
 from repro.observability import metric_inc
 
 
@@ -34,7 +34,7 @@ def parse_machines(
     """
     if jobs <= 1 or len(machines) <= 1:
         return [(machine, parse_one(machine)) for machine in machines]
-    executor = make_executor(jobs)
+    executor = ThreadExecutor(jobs)
     try:
         metric_inc("deploy.parallel_parses")
         results = run_calls(

@@ -1,10 +1,10 @@
 """repro.supervision — keep long-running execution honest.
 
 Deadlines and cooperative cancellation (:mod:`budget`), ambient
-checkpoints (:mod:`context`), heartbeat watchdogs and bounded calls
-(:mod:`watchdog`), the crash-safe write-ahead trial journal
-(:mod:`journal`), circuit breakers (:mod:`breaker`) and the graceful
-degradation ladder (:mod:`degrade`).
+checkpoints (:mod:`context`), deadline- and stall-bounded calls
+(:mod:`watchdog`), the crash-safe write-ahead trial journal and its
+durable append/replace writes (:mod:`journal`), and circuit breakers
+(:mod:`breaker`).
 """
 
 from repro.supervision.breaker import (
@@ -13,7 +13,6 @@ from repro.supervision.breaker import (
     OPEN,
     BreakerRegistry,
     CircuitBreaker,
-    breaker_call,
 )
 from repro.supervision.budget import Budget, CancelToken
 from repro.supervision.context import (
@@ -25,7 +24,6 @@ from repro.supervision.context import (
     current_token,
     supervised,
 )
-from repro.supervision.degrade import EXECUTOR_LADDER, DegradationLadder
 from repro.supervision.journal import (
     JOURNAL_NAME,
     OP_CHECKPOINT,
@@ -34,13 +32,9 @@ from repro.supervision.journal import (
     JournalEntry,
     TrialJournal,
     durable_append,
+    durable_replace,
 )
-from repro.supervision.watchdog import (
-    DEFAULT_STALL_MULTIPLIER,
-    WatchdogMonitor,
-    run_with_deadline,
-    supervised_call,
-)
+from repro.supervision.watchdog import run_with_deadline, supervised_call
 
 __all__ = [
     "Budget",
@@ -52,23 +46,19 @@ __all__ = [
     "current_scope",
     "current_token",
     "supervised",
-    "WatchdogMonitor",
     "supervised_call",
     "run_with_deadline",
-    "DEFAULT_STALL_MULTIPLIER",
     "TrialJournal",
     "JournalEntry",
     "JOURNAL_NAME",
     "durable_append",
+    "durable_replace",
     "OP_START",
     "OP_FINISH",
     "OP_CHECKPOINT",
     "CircuitBreaker",
     "BreakerRegistry",
-    "breaker_call",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "DegradationLadder",
-    "EXECUTOR_LADDER",
 ]

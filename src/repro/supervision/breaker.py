@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.exceptions import CircuitOpenError
 from repro.observability import INFO, WARNING, log_event, metric_inc
@@ -209,17 +209,3 @@ class BreakerRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._breakers)
-
-
-def breaker_call(
-    breaker: CircuitBreaker, fn: Callable[[], object], operation: Optional[str] = None
-):
-    """Run ``fn`` through ``breaker``: guard, then report the outcome."""
-    breaker.guard()
-    try:
-        result = fn()
-    except BaseException:
-        breaker.record_failure()
-        raise
-    breaker.record_success()
-    return result

@@ -2,7 +2,7 @@
 
 The campaign index (``index.jsonl``) records *finished* trials; the
 journal (``journal.jsonl`` beside it) records *intents*: one fsync'd
-line when a trial is handed to an executor (``start``) and one when
+line when a trial is about to run (``start``) and one when
 its record has been durably appended to the index (``finish``).  A
 checkpoint line marks an orderly interruption (ctrl-C, SIGTERM).
 
@@ -33,6 +33,7 @@ import json
 import os
 import threading
 import time
+import uuid
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,6 +94,31 @@ def durable_append(path: str, line: str) -> None:
         handle.write(line.encode() + b"\n")
         handle.flush()
         os.fsync(handle.fileno())
+
+
+def durable_replace(path: str, text: str) -> None:
+    """Atomically replace ``path`` with ``text``, fsync'd.
+
+    The text goes to a temp file in the same directory, which is
+    fsync'd and renamed over ``path``; readers see the old file or the
+    new one, never a torn mix.  On failure the temp file is removed and
+    the old file is left untouched.
+    """
+    temp_path = "%s.%s.tmp" % (path, uuid.uuid4().hex[:12])
+    try:
+        # exclusive create, like mkstemp, but with the umask's mode
+        # (mkstemp's 0600 would hide the file from group readers)
+        with open(temp_path, "x") as out:
+            out.write(text)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
 
 
 class TrialJournal:
@@ -176,20 +202,17 @@ class TrialJournal:
     def recover(self) -> list[JournalEntry]:
         """Interrupted trials (open intents), compacting the journal.
 
-        The compaction rewrite is atomic (write temp + rename) so a
+        The compaction rewrite is atomic (:func:`durable_replace`) so a
         crash *during recovery* still leaves a valid journal.
         """
         open_entries = self.open_intents()
         with self._lock:
             if not os.path.exists(self.path):
                 return []
-            temp_path = self.path + ".tmp"
-            with open(temp_path, "w") as handle:
-                for entry in open_entries.values():
-                    handle.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, self.path)
+            durable_replace(self.path, "".join(
+                json.dumps(entry.to_dict(), sort_keys=True) + "\n"
+                for entry in open_entries.values()
+            ))
         return list(open_entries.values())
 
     def __repr__(self) -> str:

@@ -1,146 +1,25 @@
-"""The heartbeat watchdog: detect stalled workers, reap them.
+"""The supervised-call boundary: deadlines and stall windows.
 
-Two cooperating pieces:
-
-* :class:`WatchdogMonitor` — a registry of ``(heartbeat, token)``
-  pairs plus a scan loop.  Anything long-running registers its
-  heartbeat with a stall window; the monitor's thread (or an explicit
-  :meth:`scan` call from tests) cancels the token of any entry whose
-  heartbeat has been silent longer than its window, counts
-  ``supervision.stalls`` and emits a structured warning event.  The
-  reap is *cooperative*: the stalled worker unwinds with
-  :class:`~repro.exceptions.CancelledError` at its next checkpoint,
-  while the caller side (``supervised_call``) stops waiting
-  immediately.
-
-* :func:`supervised_call` — run a callable under a deadline and/or a
-  stall window.  The work runs in a daemon worker thread carrying the
-  ambient supervision scope; the calling thread becomes the per-call
-  watchdog, polling for completion, deadline expiry and heartbeat
-  silence.  On expiry the worker's token is cancelled and the worker
-  **abandoned** — a wedged phase that never reaches a checkpoint
-  cannot hold the campaign hostage; it dies with the process.  This is
-  the boundary that turns a hung trial into a ``timed_out`` record.
+:func:`supervised_call` runs a callable under a deadline and/or a
+stall window.  The work runs in a daemon worker thread carrying the
+ambient supervision scope; the calling thread becomes the per-call
+watchdog, polling for completion, deadline expiry and heartbeat
+silence.  On expiry the worker's token is cancelled and the worker
+**abandoned** — a wedged phase that never reaches a checkpoint cannot
+hold the campaign hostage; it dies with the process.  This is the
+boundary that turns a hung trial into a ``timed_out`` record.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.exceptions import CancelledError, DeadlineExceededError, StallError
 from repro.observability import WARNING, log_event, metric_inc
 from repro.supervision.budget import Budget, CancelToken
 from repro.supervision.context import Heartbeat, supervised
-
-#: A stall is declared after this many expected intervals of silence.
-DEFAULT_STALL_MULTIPLIER = 3.0
-
-
-@dataclass
-class _Watched:
-    name: str
-    heartbeat: Heartbeat
-    token: CancelToken
-    stall_after: float
-    stalled: bool = False
-
-
-class WatchdogMonitor:
-    """Scans registered heartbeats and cancels the tokens of stalled ones.
-
-    ``interval`` is the scan cadence of the background thread; tests
-    (and deterministic callers) skip the thread entirely and drive
-    :meth:`scan` by hand with an injected clock on their heartbeats.
-    """
-
-    def __init__(self, interval: float = 0.2):
-        self.interval = interval
-        self._entries: dict[str, _Watched] = {}
-        self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self.stalls: list[str] = []
-
-    # -- registry ------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        heartbeat: Heartbeat,
-        token: CancelToken,
-        stall_after: float,
-    ) -> None:
-        if stall_after <= 0:
-            raise ValueError("stall_after must be positive (got %r)" % stall_after)
-        with self._lock:
-            self._entries[name] = _Watched(name, heartbeat, token, stall_after)
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._entries.pop(name, None)
-
-    def watched(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
-
-    # -- scanning ------------------------------------------------------------
-    def scan(self) -> list[str]:
-        """One pass: reap every newly stalled entry; returns their names."""
-        with self._lock:
-            entries = list(self._entries.values())
-        reaped = []
-        for entry in entries:
-            if entry.stalled or entry.token.cancelled:
-                continue
-            age = entry.heartbeat.age()
-            if age > entry.stall_after:
-                entry.stalled = True
-                entry.token.cancel(
-                    "watchdog: no heartbeat for %.3gs (window %.3gs)"
-                    % (age, entry.stall_after)
-                )
-                self.stalls.append(entry.name)
-                reaped.append(entry.name)
-                metric_inc("supervision.stalls")
-                log_event(
-                    WARNING,
-                    "supervision.stall",
-                    "watchdog reaped %s: silent %.3gs (window %.3gs)"
-                    % (entry.name, age, entry.stall_after),
-                    worker=entry.name,
-                    silent_for=age,
-                    stall_after=entry.stall_after,
-                )
-        return reaped
-
-    # -- the monitor thread --------------------------------------------------
-    def start(self) -> "WatchdogMonitor":
-        if self._thread is None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, name="repro-watchdog", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.scan()
-
-    def __enter__(self) -> "WatchdogMonitor":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
 
 
 class _Outcome:
@@ -159,15 +38,14 @@ def supervised_call(
     stall_after: float | None = None,
     token: CancelToken | None = None,
     heartbeat: Heartbeat | None = None,
-    monitor: WatchdogMonitor | None = None,
     poll: float = 0.05,
 ) -> Any:
     """Run ``fn()`` under a deadline and/or watchdog; return its result.
 
     The calling thread waits in ``poll``-sized slices and enforces, in
     order: worker completion, cooperative cancellation (the token was
-    cancelled externally, e.g. by a :class:`WatchdogMonitor`), budget
-    expiry (→ :class:`DeadlineExceededError`), heartbeat silence beyond
+    cancelled externally), budget expiry (→
+    :class:`DeadlineExceededError`), heartbeat silence beyond
     ``stall_after`` (→ :class:`StallError`).  On expiry/stall the
     worker's token is cancelled first, so a *cooperative* worker still
     unwinds cleanly — but the caller does not wait for it.
@@ -198,66 +76,55 @@ def supervised_call(
     thread = threading.Thread(
         target=worker, name="supervised-%s" % operation, daemon=True
     )
-    if monitor is not None and stall_after is not None:
-        monitor.register(operation, heartbeat, token, stall_after)
     thread.start()
-    try:
-        while True:
+    while True:
+        if outcome.done.wait(poll):
+            if outcome.error is not None:
+                raise outcome.error
+            return outcome.result
+        if token.cancelled and not outcome.done.is_set():
+            # cancelled from outside: give the worker one grace poll
+            # to unwind cooperatively
             if outcome.done.wait(poll):
-                if outcome.error is not None:
-                    raise outcome.error
-                return outcome.result
-            if token.cancelled and not outcome.done.is_set():
-                # externally reaped (monitor thread or parent token):
-                # give the worker one grace poll to unwind cooperatively
-                if outcome.done.wait(poll):
-                    continue
-                reason = token.reason
-                if reason.startswith("watchdog:"):
-                    metric_inc("supervision.stalls_abandoned")
-                    raise StallError(
-                        operation, heartbeat.age(), stall_after or 0.0
-                    )
-                if reason.startswith("deadline"):
-                    raise DeadlineExceededError(
-                        operation, budget.deadline_s if budget else 0.0
-                    )
-                raise CancelledError(operation, reason)
-            if budget is not None and budget.expired:
-                token.cancel("deadline: %.3gs budget spent" % budget.deadline_s)
-                metric_inc("supervision.deadline_exceeded")
+                continue
+            reason = token.reason
+            if reason.startswith("deadline"):
+                raise DeadlineExceededError(
+                    operation, budget.deadline_s if budget else 0.0
+                )
+            raise CancelledError(operation, reason)
+        if budget is not None and budget.expired:
+            token.cancel("deadline: %.3gs budget spent" % budget.deadline_s)
+            metric_inc("supervision.deadline_exceeded")
+            log_event(
+                WARNING,
+                "supervision.deadline",
+                "%s exceeded its %.3gs deadline; worker abandoned"
+                % (operation, budget.deadline_s),
+                operation=operation,
+                deadline=budget.deadline_s,
+            )
+            raise DeadlineExceededError(
+                operation, budget.deadline_s, budget.elapsed()
+            )
+        if stall_after is not None:
+            age = heartbeat.age()
+            if age > stall_after:
+                token.cancel(
+                    "watchdog: no heartbeat for %.3gs (window %.3gs)"
+                    % (age, stall_after)
+                )
+                metric_inc("supervision.stalls")
                 log_event(
                     WARNING,
-                    "supervision.deadline",
-                    "%s exceeded its %.3gs deadline; worker abandoned"
-                    % (operation, budget.deadline_s),
+                    "supervision.stall",
+                    "%s stalled: silent %.3gs (window %.3gs); worker abandoned"
+                    % (operation, age, stall_after),
                     operation=operation,
-                    deadline=budget.deadline_s,
+                    silent_for=age,
+                    stall_after=stall_after,
                 )
-                raise DeadlineExceededError(
-                    operation, budget.deadline_s, budget.elapsed()
-                )
-            if stall_after is not None:
-                age = heartbeat.age()
-                if age > stall_after:
-                    token.cancel(
-                        "watchdog: no heartbeat for %.3gs (window %.3gs)"
-                        % (age, stall_after)
-                    )
-                    metric_inc("supervision.stalls")
-                    log_event(
-                        WARNING,
-                        "supervision.stall",
-                        "%s stalled: silent %.3gs (window %.3gs); worker abandoned"
-                        % (operation, age, stall_after),
-                        operation=operation,
-                        silent_for=age,
-                        stall_after=stall_after,
-                    )
-                    raise StallError(operation, age, stall_after)
-    finally:
-        if monitor is not None and stall_after is not None:
-            monitor.unregister(operation)
+                raise StallError(operation, age, stall_after)
 
 
 def run_with_deadline(

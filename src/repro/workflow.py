@@ -138,7 +138,7 @@ def run_experiment(
     ``strict=False`` boots the lab with failed-parse devices
     quarantined instead of aborting, and ``retry_policy`` retries
     transient host errors during deployment.  ``jobs`` fans config
-    parsing and per-VM bring-up over the engine executors; every width
+    parsing and per-VM bring-up over the engine's thread executor; every width
     boots an identical lab.
 
     ``traffic_profile`` (a :class:`repro.traffic.TrafficProfile`, dict,

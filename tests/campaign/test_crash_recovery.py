@@ -8,6 +8,7 @@ a run that was never killed.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -25,6 +26,7 @@ from repro.campaign import (
     ResultStore,
     run_campaign,
 )
+from repro.campaign.report import outcome_table
 from repro.supervision import TrialJournal
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -62,6 +64,14 @@ def outcome_view(directory) -> dict:
         )
         for record in ResultStore(directory).latest().values()
     }
+
+
+def outcome_rows(directory) -> list:
+    """The per-cell report table, wall-clock seconds left out."""
+    return [
+        {key: value for key, value in row.items() if key != "seconds"}
+        for row in outcome_table(ResultStore(directory).latest().values())
+    ]
 
 
 KILLER_DRIVER = """
@@ -233,9 +243,13 @@ def test_per_trial_deadline_override_wins(tmp_path):
     assert result.ok
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched chaos hook reaches pool workers only through fork",
+)
 def test_executor_fallback_produces_identical_results(tmp_path, monkeypatch):
-    """A dying thread pool degrades to serial with bit-identical outcomes."""
-    from repro.engine import executors as executors_mod
+    """A pool worker killed with SIGKILL sends the rest of the run inline."""
+    import repro.campaign.runner as runner
 
     spec = {
         "name": "fallback",
@@ -243,31 +257,27 @@ def test_executor_fallback_produces_identical_results(tmp_path, monkeypatch):
         "platforms": ["netkit", "cbgp", "dynagen"],
         "deploy": False,
     }
-    healthy_dir = str(tmp_path / "healthy")
+    serial_dir = str(tmp_path / "serial")
     degraded_dir = str(tmp_path / "degraded")
+    serial = run_campaign(spec, directory=serial_dir, jobs=1)
+    assert serial.executed == 3
+    assert serial.degraded_to is None
 
-    healthy = run_campaign(spec, directory=healthy_dir, jobs=2)
-    assert healthy.executed == 3
-    assert healthy.degraded_to is None
+    driver = os.getpid()
+    real_inject = runner._maybe_inject
 
-    real_iter_calls = executors_mod.iter_calls
+    def kill_pool_worker(overrides, stage):
+        if os.getpid() != driver:
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_inject(overrides, stage)
 
-    def dying_iter_calls(executor, calls):
-        if executor.kind == "thread":
-            # every completion reports infrastructure death, as a pool
-            # whose workers were all killed would
-            return iter(
-                (index, None, RuntimeError("worker killed"))
-                for index in range(len(calls))
-            )
-        return real_iter_calls(executor, calls)
-
-    monkeypatch.setattr(executors_mod, "iter_calls", dying_iter_calls)
+    monkeypatch.setattr(runner, "_maybe_inject", kill_pool_worker)
     degraded = run_campaign(spec, directory=degraded_dir, jobs=2)
     assert degraded.executed == 3
     assert degraded.degraded_to == "serial"
     assert degraded.ok
-    assert outcome_view(degraded_dir) == outcome_view(healthy_dir)
+    assert TrialJournal(degraded_dir).open_intents() == {}
+    assert outcome_rows(degraded_dir) == outcome_rows(serial_dir)
 
 
 def test_open_breaker_defers_trials_for_the_platform(tmp_path):

@@ -1,5 +1,7 @@
 """The sharded campaign runner: resume, quarantine, shared cache."""
 
+import os
+
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ResultStore, run_campaign
@@ -59,6 +61,50 @@ def test_trials_share_one_artifact_cache(tmp_path):
     assert warm["rendered_devices"] == 0
     assert warm["cached_devices"] > 0
     assert result.cache_hits > 0
+
+
+def test_pool_run_counts_the_cache_hits_of_its_workers(tmp_path):
+    # three trials over one build and two pool workers: the third trial
+    # starts only after a worker finished, so it reads the cache back
+    spec = {
+        "name": "pooled",
+        "topologies": ["fig5"],
+        "platforms": ["netkit"],
+        "deploy": False,
+        "fault_schedules": [
+            None,
+            {"inline": "at 2 link_down r1 r2"},
+            {"inline": "at 3 link_down r1 r2"},
+        ],
+    }
+    result = run_campaign(spec, directory=tmp_path, jobs=2)
+    assert result.executed == 3
+    assert result.degraded_to is None
+    assert result.cache_hits > 0
+    assert result.cache_hits == sum(
+        record.engine["cache"]["hits"] for record in result.records
+    )
+    assert result.cache_misses == sum(
+        record.engine["cache"]["misses"] for record in result.records
+    )
+
+
+def test_pool_workers_build_against_the_runners_cache(tmp_path):
+    # a caller-supplied cache (the service's) is the one pool workers
+    # open, not the store's default <directory>/cache
+    from repro.engine import ArtifactCache
+
+    cache = ArtifactCache(str(tmp_path / "shared-cache"))
+    runner = CampaignRunner(
+        CampaignSpec.from_dict(build_only_spec()),
+        directory=str(tmp_path / "results"),
+        jobs=2,
+        cache=cache,
+    )
+    result = runner.run()
+    assert result.executed == 2
+    assert os.listdir(os.path.join(cache.directory, "objects"))
+    assert not os.path.exists(runner.store.cache_dir())
 
 
 def test_failed_trial_is_quarantined_not_fatal(tmp_path):

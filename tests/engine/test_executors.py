@@ -1,15 +1,9 @@
-"""The pluggable executors: equivalence, selection, telemetry."""
+"""The thread executor behind the boot fan-out: order and telemetry."""
 
-import pytest
+import time
 
-from repro.engine import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.engine import ThreadExecutor
 from repro.engine.executors import run_calls
-from repro.exceptions import EngineError
 from repro.observability import Telemetry
 
 
@@ -21,46 +15,18 @@ CALLS = [("t%d" % n, _square, n) for n in range(8)]
 
 
 def test_serial_and_thread_agree():
-    serial = SerialExecutor().run(CALLS)
     thread = ThreadExecutor(jobs=4)
     try:
-        assert thread.run(CALLS) == serial == [n * n for n in range(8)]
+        assert thread.run(CALLS) == [fn(arg) for _, fn, arg in CALLS]
     finally:
         thread.shutdown()
 
 
-def test_process_executor_agrees():
-    process = ProcessExecutor(jobs=2)
-    try:
-        assert process.run(CALLS) == [n * n for n in range(8)]
-    finally:
-        process.shutdown()
-
-
-def test_make_executor_selection():
-    assert make_executor(1).kind == "serial"
-    assert make_executor(4).kind == "thread"
-    assert make_executor(4, "process").kind == "process"
-    assert make_executor(8, "serial").kind == "serial"
-    with pytest.raises(EngineError, match="unknown executor"):
-        make_executor(2, "quantum")
-
-
 def test_run_calls_empty_batch():
-    assert run_calls(SerialExecutor(), []) == []
+    assert run_calls(ThreadExecutor(jobs=2), []) == []
 
 
 def test_executors_record_latency_metrics():
-    telemetry = Telemetry()
-    with telemetry.activate():
-        run_calls(SerialExecutor(), CALLS)
-    snapshot = telemetry.metrics.snapshot()
-    assert snapshot["counters"]["engine.tasks_scheduled"] == len(CALLS)
-    assert snapshot["histograms"]["engine.task_seconds"]["count"] == len(CALLS)
-    assert snapshot["histograms"]["engine.queue_seconds"]["count"] == len(CALLS)
-
-
-def test_thread_executor_records_queue_wait():
     telemetry = Telemetry()
     thread = ThreadExecutor(jobs=2)
     try:
@@ -69,5 +35,25 @@ def test_thread_executor_records_queue_wait():
     finally:
         thread.shutdown()
     snapshot = telemetry.metrics.snapshot()
+    assert snapshot["counters"]["engine.tasks_scheduled"] == len(CALLS)
     assert snapshot["histograms"]["engine.task_seconds"]["count"] == len(CALLS)
-    assert snapshot["gauges"]["engine.executor.jobs"] == 2
+    assert snapshot["histograms"]["engine.queue_seconds"]["count"] == len(CALLS)
+
+
+def _nap(n):
+    time.sleep(0.01)
+    return n
+
+
+def test_thread_executor_records_queue_wait():
+    """With one worker the later calls wait behind the earlier ones."""
+    telemetry = Telemetry()
+    thread = ThreadExecutor(jobs=1)
+    try:
+        with telemetry.activate():
+            run_calls(thread, [("n%d" % n, _nap, n) for n in range(4)])
+    finally:
+        thread.shutdown()
+    snapshot = telemetry.metrics.snapshot()
+    assert snapshot["histograms"]["engine.queue_seconds"]["max"] >= 0.02
+    assert snapshot["gauges"]["engine.executor.jobs"] == 1

@@ -2,8 +2,9 @@
 
 import json
 import time
+from concurrent import futures
 
-from repro.engine import ProcessExecutor, ThreadExecutor
+from repro.engine import ThreadExecutor
 from repro.observability import (
     Telemetry,
     chrome_trace,
@@ -84,7 +85,7 @@ class TestChromeTrace:
 
 
 def _traced_square(value):
-    """Module-level so the process executor can pickle it."""
+    """Module-level so a process pool can pickle it."""
     with span("proc.task"):
         return value * value
 
@@ -148,14 +149,9 @@ class TestExecutorSpanTrees:
 
     def test_process_executor_spans_stay_in_child(self):
         telemetry = Telemetry()
-        executor = ProcessExecutor(jobs=2)
-        try:
-            with telemetry.activate():
-                results = executor.run(
-                    [("p%d" % i, _traced_square, i) for i in range(4)]
-                )
-        finally:
-            executor.shutdown()
+        with telemetry.activate():
+            with futures.ProcessPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(_traced_square, range(4)))
         assert results == [0, 1, 4, 9]
         # child processes have their own (inactive) telemetry — their
         # spans never leak into the parent's tracer

@@ -9,7 +9,6 @@ from repro.supervision import (
     OPEN,
     BreakerRegistry,
     CircuitBreaker,
-    breaker_call,
 )
 
 
@@ -119,21 +118,3 @@ def test_registry_creates_lazily_and_tracks_open_breakers():
     snapshot = registry.snapshot()
     assert snapshot["cbgp"]["state"] == OPEN
     assert snapshot["netkit"]["state"] == CLOSED
-
-
-def test_breaker_call_reports_outcomes():
-    breaker, clock = make_breaker(threshold=2)
-    assert breaker_call(breaker, lambda: "ok") == "ok"
-    for _ in range(2):
-        with pytest.raises(RuntimeError):
-            breaker_call(breaker, _boom)
-    assert breaker.state == OPEN
-    with pytest.raises(CircuitOpenError):
-        breaker_call(breaker, lambda: "never runs")
-    clock.advance(31.0)
-    assert breaker_call(breaker, lambda: "probe") == "probe"
-    assert breaker.state == CLOSED
-
-
-def _boom():
-    raise RuntimeError("injected")

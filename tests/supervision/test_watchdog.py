@@ -1,4 +1,4 @@
-"""Heartbeats, the watchdog monitor, and the supervised-call boundary."""
+"""Heartbeats and the supervised-call boundary."""
 
 import time
 
@@ -9,7 +9,6 @@ from repro.supervision import (
     Budget,
     CancelToken,
     Heartbeat,
-    WatchdogMonitor,
     checkpoint,
     run_with_deadline,
     supervised_call,
@@ -36,41 +35,6 @@ def test_heartbeat_age_tracks_the_injected_clock():
     heartbeat.beat()
     assert heartbeat.age() == 0.0
     assert heartbeat.beats == 1
-
-
-# -- WatchdogMonitor (scan-driven, no threads, no sleeping) -------------------
-def test_watchdog_reaps_only_silent_workers():
-    clock = FakeClock()
-    monitor = WatchdogMonitor()
-    lively, lively_token = Heartbeat("lively", clock=clock), CancelToken()
-    silent, silent_token = Heartbeat("silent", clock=clock), CancelToken()
-    monitor.register("lively", lively, lively_token, stall_after=5.0)
-    monitor.register("silent", silent, silent_token, stall_after=5.0)
-
-    clock.advance(4.0)
-    lively.beat()
-    assert monitor.scan() == []
-
-    clock.advance(2.0)  # silent is now 6s old; lively only 2s
-    assert monitor.scan() == ["silent"]
-    assert silent_token.cancelled
-    assert silent_token.reason.startswith("watchdog:")
-    assert not lively_token.cancelled
-    assert monitor.stalls == ["silent"]
-    # a reaped entry is not reaped twice
-    clock.advance(10.0)
-    lively.beat()
-    assert monitor.scan() == []
-
-
-def test_watchdog_register_rejects_bad_window_and_unregister_forgets():
-    monitor = WatchdogMonitor()
-    with pytest.raises(ValueError):
-        monitor.register("w", Heartbeat("w"), CancelToken(), stall_after=0)
-    monitor.register("w", Heartbeat("w"), CancelToken(), stall_after=1.0)
-    assert monitor.watched() == ["w"]
-    monitor.unregister("w")
-    assert monitor.watched() == []
 
 
 # -- supervised_call ----------------------------------------------------------
@@ -168,13 +132,3 @@ def test_run_with_deadline_times_out():
             lambda: time.sleep(30.0), 0.2, operation="slow", poll=0.02
         )
 
-
-def test_monitor_registration_is_cleaned_up():
-    monitor = WatchdogMonitor()
-    supervised_call(
-        lambda: "ok",
-        operation="tracked",
-        stall_after=5.0,
-        monitor=monitor,
-    )
-    assert monitor.watched() == []
