@@ -814,8 +814,8 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
         # Rolling-change trial: the lab booted the *base* design; the
         # delta is diffed from the rendered trees and applied live (one
         # incremental reconvergence, no reboot).  verify_live (default
-        # on) boots the edited design fresh and insists the live lab is
-        # bit-identical — a failed check fails the trial.
+        # on) boots the edited design fresh and insists the live lab has
+        # the same LabSnapshot — a failed check fails the trial.
         from repro.exceptions import LiveUpdateError
         from repro.liveupdate import (
             apply_edits,

@@ -282,7 +282,7 @@ def _add_apply_options(sub: argparse.ArgumentParser) -> None:
     live.add_argument(
         "--verify", action="store_true",
         help="after applying, boot the target design fresh and check the "
-        "live lab is equivalent (RIBs, reachability, verdict); "
+        "live lab is equivalent (routes, fabric, verdict); "
         "implies --live",
     )
     live.add_argument(

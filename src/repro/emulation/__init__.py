@@ -30,6 +30,7 @@ from repro.emulation.intent import (
 from repro.emulation.lab import EmulatedLab, detect_platform
 from repro.emulation.network import EmulatedNetwork, Segment
 from repro.emulation.ospf_engine import IgpRoute, IgpState
+from repro.emulation.snapshot import LabSnapshot
 from repro.emulation.vm import VirtualMachine
 from repro.emulation.whatif import (
     compare_reachability,
@@ -58,6 +59,7 @@ __all__ = [
     "InterfaceIntent",
     "IsisIntent",
     "LabIntent",
+    "LabSnapshot",
     "OspfIntent",
     "Segment",
     "TraceResult",

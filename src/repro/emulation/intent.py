@@ -193,13 +193,6 @@ class LabIntent:
     devices: dict[str, DeviceIntent] = field(default_factory=dict)
     description: str = ""
 
-    def device_owning(self, address) -> Optional[DeviceIntent]:
-        address = _as_address(address)
-        for device in self.devices.values():
-            if device.owns_address(address):
-                return device
-        return None
-
     def routers(self) -> list[DeviceIntent]:
         return [device for device in self.devices.values()
                 if device.ospf or device.bgp or device.isis]

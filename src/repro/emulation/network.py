@@ -155,13 +155,6 @@ class EmulatedNetwork:
         entry = self._address_map.get(address)
         return entry[0] if entry else None
 
-    def interface_owning(self, address) -> Optional[tuple[str, InterfaceIntent]]:
-        if not isinstance(
-            address, (ipaddress.IPv4Address, ipaddress.IPv6Address)
-        ):
-            address = ipaddress.ip_address(str(address))
-        return self._address_map.get(address)
-
     def segments_of(self, machine: str) -> list[Segment]:
         return list(self._segments_of.get(machine, []))
 

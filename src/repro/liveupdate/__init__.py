@@ -12,10 +12,10 @@ into a three-step pipeline:
    :class:`~repro.emulation.EmulatedLab` with one incremental
    reconvergence instead of a reboot, journaled per operation and
    bounded by a supervision deadline (:mod:`repro.liveupdate.apply`);
-3. **verify** — :func:`aggregate_state` / :func:`verify_equivalence`
-   prove the live-applied lab bit-identical to a fresh boot of the
-   target design (per-router RIBs, BGP selected routes, reachability,
-   convergence verdict).
+3. **verify** — :func:`verify_equivalence` proves the live-applied lab
+   equal to a fresh boot of the target design: the same
+   :class:`~repro.emulation.LabSnapshot` (per-router IGP and BGP-selected
+   routes, fabric, convergence verdict).
 
 `repro diff --plan` and `repro apply --live` drive the pipeline from
 the CLI; the campaign layer's ``design_deltas`` axis drives it at
@@ -25,7 +25,6 @@ matrix scale.
 from repro.liveupdate.apply import (
     ApplyReport,
     EquivalenceReport,
-    aggregate_state,
     apply_plan,
     verify_equivalence,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "EDIT_KINDS",
     "EquivalenceReport",
     "OP_KINDS",
-    "aggregate_state",
     "apply_edits",
     "apply_op",
     "apply_plan",

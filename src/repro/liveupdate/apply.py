@@ -24,12 +24,11 @@ Execution discipline, borrowed from the campaign runner:
   because they are immutable after parse — only the devices an op
   names are re-serialised and re-parsed.
 
-:func:`aggregate_state` and :func:`verify_equivalence` define what
-"live-applied ≡ fresh boot" means: identical per-router IGP RIBs and
-BGP selected routes, identical reachability summary, and the same
-convergence verdict (status/period/components — *not* rounds, since an
-incremental resume legitimately settles in fewer rounds than a cold
-boot).
+:func:`verify_equivalence` defines "live-applied ≡ fresh boot" as
+equal :class:`~repro.emulation.LabSnapshot` values: the same route
+lines per router, the same fabric, and the same convergence verdict
+(*not* rounds, since an incremental resume legitimately settles in
+fewer rounds than a cold boot).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.emulation.intent import LabIntent
-from repro.emulation.whatif import reachability_summary
+from repro.emulation.snapshot import LabSnapshot
 from repro.exceptions import LiveUpdateError, TerminationRequested
 from repro.liveupdate.codec import device_to_dict, lab_devices_from_dicts
 from repro.liveupdate.plan import DiffPlan, simulate_plan
@@ -50,7 +49,6 @@ from repro.supervision import Budget, TrialJournal, checkpoint, supervised
 __all__ = [
     "ApplyReport",
     "EquivalenceReport",
-    "aggregate_state",
     "apply_plan",
     "verify_equivalence",
 ]
@@ -216,83 +214,24 @@ def apply_plan(
 # equivalence: live-applied delta vs fresh boot
 # ---------------------------------------------------------------------------
 
-def aggregate_state(lab) -> dict:
-    """Everything that must be bit-identical between a live-applied lab
-    and a fresh boot of the same target design.
-
-    Convergence *rounds* are deliberately excluded: an incremental
-    resume settles in fewer rounds than a cold boot by design.  All
-    leaves are strings so the aggregate is JSON-clean and diffable.
-    """
-    machines = sorted(lab.network.machines)
-    report = lab.convergence_report
-    return {
-        "machines": machines,
-        "igp_ribs": {
-            machine: {
-                str(prefix): repr(route)
-                for prefix, route in sorted(
-                    lab.igp.routes(machine).items(), key=lambda item: str(item[0])
-                )
-            }
-            for machine in machines
-        },
-        "bgp_selected": {
-            machine: {
-                str(prefix): repr(route)
-                for prefix, route in sorted(
-                    lab.bgp_result.selected.get(machine, {}).items(),
-                    key=lambda item: str(item[0]),
-                )
-            }
-            for machine in machines
-        },
-        "reachability": reachability_summary(lab),
-        "verdict": {
-            "status": report.status,
-            "period": report.period,
-            "components": report.components,
-            "quarantined": sorted(report.quarantined),
-        },
-    }
-
-
 @dataclass
 class EquivalenceReport:
-    """The outcome of comparing two lab aggregates."""
+    """The outcome of comparing two lab snapshots."""
 
     ok: bool
     mismatches: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
         if self.ok:
-            return "equivalent: RIBs, reachability, and verdicts match"
+            return "equivalent: routes, fabric, and verdict match"
         return "NOT equivalent: " + "; ".join(self.mismatches[:8])
-
-
-def _describe_mismatch(section: str, live, fresh) -> str:
-    if isinstance(live, dict) and isinstance(fresh, dict):
-        differing = sorted(
-            key
-            for key in set(live) | set(fresh)
-            if live.get(key) != fresh.get(key)
-        )
-        sample = ", ".join(str(key) for key in differing[:4])
-        return "%s differs at %d key(s): %s" % (section, len(differing), sample)
-    return "%s differs: %r != %r" % (section, live, fresh)
 
 
 def verify_equivalence(live_lab, fresh_lab) -> EquivalenceReport:
     """Compare a live-applied lab against a freshly booted oracle."""
-    live = aggregate_state(live_lab)
-    fresh = aggregate_state(fresh_lab)
-    mismatches = [
-        _describe_mismatch(section, live[section], fresh[section])
-        for section in live
-        if live[section] != fresh[section]
-    ]
+    mismatch = LabSnapshot.of(live_lab).diff(LabSnapshot.of(fresh_lab))
     metric_inc(
-        "liveupdate.equivalence_ok" if not mismatches
+        "liveupdate.equivalence_ok" if mismatch is None
         else "liveupdate.equivalence_failed"
     )
-    return EquivalenceReport(ok=not mismatches, mismatches=mismatches)
+    return EquivalenceReport(ok=mismatch is None, mismatches=[mismatch] if mismatch else [])

@@ -180,3 +180,43 @@ def test_parallel_jobs_produce_the_same_index(tmp_path):
     assert result.ok
     hashes = {record.spec_hash for record in ResultStore(tmp_path).records()}
     assert hashes == {t.spec_hash for t in CampaignSpec.from_dict(spec)}
+
+
+def delta_spec(**extra) -> dict:
+    """One small_internet trial that applies a cost change live."""
+    return {
+        "name": "rolling",
+        "topologies": ["small_internet"],
+        "platforms": ["netkit"],
+        "design_deltas": [[{"kind": "cost", "link": ["as20r1", "as20r2"], "value": 17}]],
+        **extra,
+    }
+
+
+def test_design_delta_trial_verifies_the_live_lab(tmp_path):
+    result = run_campaign(delta_spec(), directory=tmp_path)
+    assert result.ok
+    liveupdate = result.records[0].liveupdate
+    assert liveupdate["operations"] > 0
+    assert liveupdate["equivalent"] is True
+
+
+def test_verify_live_off_skips_the_fresh_boot(tmp_path):
+    result = run_campaign(delta_spec(overrides=[{"verify_live": False}]), directory=tmp_path)
+    assert result.ok
+    assert "equivalent" not in result.records[0].liveupdate
+
+
+def test_diverging_live_lab_fails_the_trial(tmp_path, monkeypatch):
+    import repro.liveupdate
+    from repro.liveupdate import EquivalenceReport
+
+    monkeypatch.setattr(
+        repro.liveupdate, "verify_equivalence",
+        lambda live, fresh: EquivalenceReport(ok=False, mismatches=["routes differ at as20r1"]),
+    )
+    result = run_campaign(delta_spec(), directory=tmp_path)
+    assert len(result.failed) == 1
+    error = result.failed[0].error
+    assert "live-applied delta diverged from fresh boot" in error
+    assert "routes differ at as20r1" in error

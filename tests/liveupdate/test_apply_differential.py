@@ -1,22 +1,25 @@
 """The differential suite: live apply ≡ fresh boot, with zero reboots.
 
 For every edit class the plan is applied to a *running* lab and the
-resulting routing state is compared bit-for-bit (IGP RIBs, BGP selected
-routes, reachability, convergence verdict) against a cold boot of the
-edited design.  Telemetry spans prove the live path never re-parses or
+resulting lab snapshot (IGP and BGP-selected routes, fabric,
+convergence verdict) is compared with a cold boot of the edited
+design.  Telemetry spans prove the live path never re-parses or
 re-deploys anything — one incremental reconvergence is the whole cost.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import pytest
 
-from repro.emulation import EmulatedLab
+from repro.emulation import EmulatedLab, LabSnapshot
 from repro.exceptions import LiveUpdateError
-from repro.liveupdate import aggregate_state, apply_plan, verify_equivalence
+from repro.liveupdate import apply_plan, verify_equivalence
 from repro.observability import Telemetry
+from repro.supervision import TrialJournal
 
 from .conftest import EDITS, make_delta
 
@@ -64,26 +67,22 @@ class TestDifferential:
     def test_inverse_plan_rolls_back(self, delta, labs):
         live, _oracle = labs
         lab = live.fork()
-        before = aggregate_state(lab)
+        before = LabSnapshot.of(lab)
         apply_plan(lab, delta.plan)
         apply_plan(lab, delta.plan.inverse())
-        assert aggregate_state(lab) == before
-
-    def test_aggregate_state_is_json_clean(self, labs):
-        state = aggregate_state(labs[0])
-        assert json.loads(json.dumps(state, sort_keys=True)) == state
+        assert LabSnapshot.of(lab) == before
 
 
 class TestApplyContract:
     def test_stale_plan_rejected_before_mutation(self, cost_delta, si_lab):
         lab = si_lab.fork()
         apply_plan(lab, cost_delta.plan)
-        before = aggregate_state(lab)
+        before = LabSnapshot.of(lab)
         # the plan's preconditions no longer hold — strict mode aborts
         # with the lab untouched (intent-level atomicity)
         with pytest.raises(LiveUpdateError, match="stale plan"):
             apply_plan(lab, cost_delta.plan)
-        assert aggregate_state(lab) == before
+        assert LabSnapshot.of(lab) == before
 
     def test_lenient_mode_skips_stale_ops(self, cost_delta, si_lab):
         lab = si_lab.fork()
@@ -122,3 +121,37 @@ class TestApplyContract:
         # instead of mutating the shared object under the parent
         assert lab.intent is not shared_intent
         assert si_lab.intent is shared_intent
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_sigkill_mid_apply_leaves_open_intents(self, cost_delta, si_lab, tmp_path):
+        import repro.liveupdate.apply as applier
+
+        plan = cost_delta.plan
+        journal_dir = str(tmp_path / "journal")
+        pid = os.fork()
+        if pid == 0:  # child: die by SIGKILL once every op is committed
+            try:
+                real_checkpoint = applier.checkpoint
+
+                def kill_at_reconverge(operation):
+                    if operation == "liveupdate.reconverge":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    real_checkpoint(operation)
+
+                applier.checkpoint = kill_at_reconverge
+                apply_plan(si_lab.fork(), plan, journal_dir=journal_dir)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+
+        journal = TrialJournal(journal_dir)
+        op_ids = {op.op_id(sequence) for sequence, op in enumerate(plan.operations)}
+        assert {entry.trial_id for entry in journal.open_intents().values()} == op_ids
+
+        # a second apply appends to the same journal and closes every intent
+        apply_plan(si_lab.fork(), plan, journal_dir=journal_dir)
+        entries = journal.entries()
+        assert journal.torn_lines == 0
+        assert len(entries) == 3 * len(plan)
+        assert journal.open_intents() == {}

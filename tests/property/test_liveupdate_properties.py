@@ -8,10 +8,10 @@ and campaign layer accept:
   and its inverse back to A bit-exactly; diffing is deterministic;
   a design diffed against itself is empty;
 * booted: applying the plan to a *running* lab and then its inverse
-  restores the original aggregate routing state bit-identically, and
-  the live-applied lab is equivalent to a fresh boot of the edited
-  design — for arbitrary edit sequences, not just the curated cases
-  in the differential suite.
+  restores the original lab snapshot exactly, and the live-applied
+  lab is equivalent to a fresh boot of the edited design — for
+  arbitrary edit sequences, not just the curated cases in the
+  differential suite.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.emulation import EmulatedLab
+from repro.emulation import EmulatedLab, LabSnapshot
 from repro.emulation.lab import detect_platform
 from repro.emulation.parsing import LAB_PARSERS
 from repro.exceptions import LiveUpdateError
 from repro.liveupdate import (
-    aggregate_state,
     apply_edits,
     apply_plan,
     diff_designs,
@@ -164,10 +163,10 @@ class TestBootedLiveUpdateProperties:
         with tempfile.TemporaryDirectory() as work:
             delta = diff_designs(old, new, "netkit", work_dir=work)
             lab = si_lab.fork()
-            before = aggregate_state(lab)
+            before = LabSnapshot.of(lab)
             apply_plan(lab, delta.plan)
             apply_plan(lab, delta.plan.inverse())
-            assert aggregate_state(lab) == before
+            assert LabSnapshot.of(lab) == before
 
     @_lab_settings
     @given(edits=st.lists(any_edit, min_size=1, max_size=2))

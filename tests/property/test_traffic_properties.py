@@ -6,7 +6,10 @@ Whatever workload a profile describes:
 * a network whose links dwarf the offered load delivers everything —
   loss only ever comes from congestion (or faults), never from the
   bookkeeping;
-* the report is bit-identical when re-run with the same seed.
+* the report is bit-identical when re-run with the same seed;
+* under a random fault schedule, with or without a live cost change,
+  every class still accounts for each offered flow as delivered,
+  dropped or unroutable, and offers exactly the fault-free flows.
 """
 
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.emulation import EmulatedLab
+from repro.resilience import FaultEvent, FaultSchedule
 from repro.traffic import TrafficProfile, run_traffic
 
 _class_strategy = st.one_of(
@@ -69,9 +73,42 @@ _settings = settings(
 )
 
 
+SI_LINKS = [("as100r1", "as100r2"), ("as100r1", "as100r3"), ("as100r2", "as100r3")]
+SI_STUBS = ["as1r1", "as20r1", "as30r1", "as40r1"]
+
+_schedule_strategy = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["link_down", "link_up"]), st.sampled_from(SI_LINKS)),
+        st.tuples(
+            st.sampled_from(["node_down", "node_up"]),
+            st.sampled_from(SI_STUBS).map(lambda name: (name,)),
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda events: FaultSchedule(
+        FaultEvent(at_round=index, kind=kind, target=tuple(target))
+        for index, (kind, target) in enumerate(events)
+    )
+)
+
+
 @pytest.fixture(scope="module")
 def lab(si_render):
     return EmulatedLab.boot(si_render.lab_dir)
+
+
+@pytest.fixture(scope="module")
+def cost_plan(tmp_path_factory):
+    from repro.liveupdate import apply_edits, diff_designs
+    from repro.loader import small_internet
+
+    edits = [{"kind": "cost", "link": ["as100r1", "as100r2"], "value": 50}]
+    return diff_designs(
+        small_internet(), apply_edits(small_internet(), edits),
+        "netkit", work_dir=str(tmp_path_factory.mktemp("traffic_cost_plan")),
+    ).plan
 
 
 @_settings
@@ -103,3 +140,27 @@ def test_same_seed_reruns_bit_identical(lab, profile, seed):
         run_traffic(lab, profile, seed=seed).to_json()
         == run_traffic(lab, profile, seed=seed).to_json()
     )
+
+
+@_settings
+@given(
+    profile=_profile_strategy,
+    seed=st.integers(min_value=0, max_value=2**16),
+    schedule=_schedule_strategy,
+    live_at=st.none() | st.floats(min_value=0.0, max_value=4.0),
+)
+def test_conservation_under_faults_and_live_change(lab, cost_plan, profile, seed, schedule, live_at):
+    baseline = run_traffic(lab.fork(), profile, seed=seed)
+    live_plans = [(live_at, cost_plan)] if live_at is not None else None
+    changed = run_traffic(
+        lab.fork(), profile, seed=seed, schedule=schedule, live_plans=live_plans,
+    )
+
+    for entry in changed.classes:
+        assert (
+            entry.delivered_flows + entry.dropped_flows + entry.unroutable_flows
+            == entry.offered_flows
+        ), entry.name
+    assert [entry.offered_flows for entry in changed.classes] == [
+        entry.offered_flows for entry in baseline.classes
+    ]
