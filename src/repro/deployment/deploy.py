@@ -4,7 +4,8 @@
 files, transfers them to the emulation host, extracts them, and runs
 the Netkit lstart command."  This module is that script — the paper
 notes the whole flow is under a hundred lines of high-level code, a
-property this implementation preserves.
+property this implementation preserves.  The lab boots from the
+received archive itself: extract checks it and writes nothing.
 
 Each stage runs under a :class:`~repro.resilience.RetryPolicy` (default
 :data:`~repro.resilience.NO_RETRY`, preserving fail-fast behaviour):
@@ -43,7 +44,8 @@ class DeploymentRecord:
     host: LocalEmulationHost
     lab: EmulatedLab
     archive_path: str
-    lab_dir: str
+    #: Where the lab booted from: the archive on the host.
+    source: str
     timings: dict = field(default_factory=dict)
     monitor: ProgressMonitor = field(default_factory=ProgressMonitor)
 
@@ -147,7 +149,7 @@ def deploy(
         with span("deploy.extract") as stage:
             checkpoint("deploy.extract")
             monitor.update("extract", "extracting %s" % remote_archive)
-            lab_dir = retry_call(
+            tree = retry_call(
                 lambda: host.extract(remote_archive, lab_name),
                 policy=retry_policy,
                 operation="deploy.extract",
@@ -158,7 +160,7 @@ def deploy(
             checkpoint("deploy.lstart")
             monitor.update("lstart", "starting lab %s" % lab_name, lab_name=lab_name)
             lab = retry_call(
-                lambda: host.lstart(lab_dir, lab_name, **boot_options),
+                lambda: host.lstart(tree, lab_name, **boot_options),
                 policy=retry_policy,
                 operation="deploy.lstart",
             )
@@ -198,7 +200,7 @@ def deploy(
         host=host,
         lab=lab,
         archive_path=archive_path,
-        lab_dir=lab_dir,
+        source=tree.source,
         timings=timings,
         monitor=monitor,
     )

@@ -7,6 +7,8 @@ extract it, start the lab, report status) against the local filesystem
 and the in-process emulation substrate, preserving the workflow and its
 failure modes (a missing lab.conf aborts the start, exactly as lstart
 would).
+Extraction writes nothing: it checks the received archive and returns
+a :class:`~repro.emulation.LabTree` over it for ``lstart`` to boot from.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import shutil
 import tarfile
 import tempfile
 
-from repro.emulation import EmulatedLab
+from repro.emulation import EmulatedLab, LabTree
 from repro.exceptions import DeploymentError
 
 
@@ -38,25 +40,23 @@ class LocalEmulationHost:
         shutil.copyfile(archive_path, destination)
         return destination
 
-    def extract(self, archive_path: str, lab_name: str) -> str:
-        """Extract a received archive; returns the lab directory."""
-        lab_dir = os.path.join(self.work_dir, lab_name)
-        if os.path.exists(lab_dir):
-            shutil.rmtree(lab_dir)
-        os.makedirs(lab_dir)
+    def extract(self, archive_path: str, lab_name: str) -> LabTree:
+        """Check a received archive; returns the lab as a tree over it."""
+        tree = LabTree(archive_path)
+        if not tree.is_archive:
+            raise DeploymentError("archive %s does not exist" % archive_path)
         try:
-            with tarfile.open(archive_path) as archive:
-                archive.extractall(lab_dir, filter="data")
+            return tree.load()
         except tarfile.TarError as exc:
             raise DeploymentError("could not extract %s: %s" % (archive_path, exc)) from exc
-        return lab_dir
 
-    def lstart(self, lab_dir: str, lab_name: str, **boot_options) -> EmulatedLab:
-        """Start the lab (the in-process equivalent of Netkit lstart)."""
-        if not os.path.isdir(lab_dir):
-            raise DeploymentError("lab directory %s does not exist" % lab_dir)
+    def lstart(self, source: str | LabTree, lab_name: str, **boot_options) -> EmulatedLab:
+        """Start the lab (the in-process equivalent of Netkit lstart).
+
+        ``source`` is what :meth:`extract` returned, or a lab directory.
+        """
         try:
-            lab = EmulatedLab.boot(lab_dir, **boot_options)
+            lab = EmulatedLab.boot(source, **boot_options)
         except Exception as exc:
             raise DeploymentError("lab %s failed to start: %s" % (lab_name, exc)) from exc
         self._labs[lab_name] = lab

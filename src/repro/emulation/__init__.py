@@ -2,9 +2,11 @@
 
 This package is the substitution for the real emulation platforms the
 paper deploys onto (Netkit/Dynagen/Junosphere/C-BGP): it parses the
-*generated configuration files*, builds the layer-2 fabric, converges
-OSPF and BGP (with per-vendor decision-process semantics), and offers
-virtual machines that execute measurement commands.  See DESIGN.md.
+*generated configuration files* (through :class:`LabTree`, from the
+rendered directory or the received archive), builds the layer-2
+fabric, converges OSPF and BGP (with per-vendor decision-process
+semantics), and offers virtual machines that execute measurement
+commands.  See DESIGN.md.
 """
 
 from repro.emulation.bgp_engine import (
@@ -28,6 +30,7 @@ from repro.emulation.intent import (
     OspfIntent,
 )
 from repro.emulation.lab import EmulatedLab, detect_platform
+from repro.emulation.labtree import LabTree
 from repro.emulation.network import EmulatedNetwork, Segment
 from repro.emulation.ospf_engine import IgpRoute, IgpState
 from repro.emulation.snapshot import LabSnapshot
@@ -60,6 +63,7 @@ __all__ = [
     "IsisIntent",
     "LabIntent",
     "LabSnapshot",
+    "LabTree",
     "OspfIntent",
     "Segment",
     "TraceResult",

@@ -1,7 +1,8 @@
 """The emulated lab: boot rendered configurations into a running network.
 
 :func:`EmulatedLab.boot` is the substrate's ``lstart``: it detects the
-platform from the files present, parses every configuration back into
+platform from the files present (in a directory or a received archive,
+see :mod:`~repro.emulation.labtree`), parses every configuration back into
 device intent, brings up the fabric, converges the IGP, runs the BGP
 simulation, and exposes :class:`~repro.emulation.vm.VirtualMachine`
 handles for measurement.
@@ -32,6 +33,7 @@ from repro.emulation.bgp_engine import BgpResult, BgpSimulation
 from repro.emulation.dataplane import Dataplane
 from repro.emulation.dns_engine import DnsEngine
 from repro.emulation.intent import LabIntent
+from repro.emulation.labtree import LabTree
 from repro.emulation.network import EmulatedNetwork
 from repro.emulation.ospf_engine import IgpState
 from repro.emulation.parsing import LAB_PARSERS
@@ -54,17 +56,19 @@ logger = logging.getLogger("repro.emulation")
 HISTORY_MACHINE_LIMIT = 64
 
 
-def detect_platform(lab_dir: str) -> str:
-    """Infer the emulation platform from the files in a lab directory."""
-    if os.path.exists(os.path.join(lab_dir, "lab.conf")):
+def detect_platform(source: str | os.PathLike | LabTree) -> str:
+    """Infer the emulation platform from the files at a lab's root."""
+    tree = LabTree.of(source)
+    names = set(tree.listdir())
+    if "lab.conf" in names:
         return "netkit"
-    if os.path.exists(os.path.join(lab_dir, "lab.net")):
+    if "lab.net" in names:
         return "dynagen"
-    if os.path.exists(os.path.join(lab_dir, "topology.vmm")):
+    if "topology.vmm" in names:
         return "junosphere"
-    if os.path.exists(os.path.join(lab_dir, "network.cli")):
+    if "network.cli" in names:
         return "cbgp"
-    raise EmulationError("cannot detect platform of lab directory %s" % lab_dir)
+    raise EmulationError("cannot detect platform of lab %s" % tree.source)
 
 
 class EmulatedLab:
@@ -87,8 +91,8 @@ class EmulatedLab:
         self.jobs = jobs
         self._vendor_overrides = vendor_overrides
         self._keep_history = keep_history
-        #: Directory the lab was booted from (None for intent-built labs).
-        self.lab_dir: Optional[str] = None
+        #: Lab directory or archive booted from (None for intent-built labs).
+        self.source: Optional[str] = None
         #: machine name -> BootDiagnostic for devices excluded at boot.
         self.quarantined: dict[str, BootDiagnostic] = {}
         #: live fault state, applied on top of the parsed topology.
@@ -114,7 +118,7 @@ class EmulatedLab:
     @classmethod
     def boot(
         cls,
-        lab_dir: str | os.PathLike,
+        source: str | os.PathLike | LabTree,
         platform: Optional[str] = None,
         max_rounds: int = 64,
         vendor_overrides: Optional[dict[str, str]] = None,
@@ -122,21 +126,24 @@ class EmulatedLab:
         strict: bool = True,
         jobs: int = 1,
     ) -> "EmulatedLab":
-        """Parse a rendered lab directory and bring the network up.
+        """Parse a rendered lab and bring the network up.
 
-        ``jobs`` fans per-machine config parsing and per-VM bring-up
-        over the engine's thread executor; every width produces an identical
-        lab — the parallel-boot determinism tests pin that down.
+        ``source`` is the lab directory or a :class:`LabTree`, such as
+        ``LocalEmulationHost.extract`` returns; the lab keeps only its
+        :attr:`source`.  ``jobs`` fans per-machine config parsing and
+        per-VM bring-up over the engine's thread executor; every width
+        produces an identical lab — the parallel-boot determinism tests
+        pin that down.
         """
-        lab_dir = str(lab_dir)
-        platform = platform or detect_platform(lab_dir)
-        logger.info("booting %s lab from %s", platform, lab_dir)
+        tree = LabTree.of(source)
+        platform = platform or detect_platform(tree)
+        logger.info("booting %s lab from %s", platform, tree.source)
         try:
             parser = LAB_PARSERS[platform]
         except KeyError:
             raise EmulationError("no parser for platform %r" % platform) from None
         with span("emulation.parse", platform=platform, jobs=jobs):
-            intent = parser(lab_dir, jobs=jobs)
+            intent = parser(tree, jobs=jobs)
         lab = cls(
             intent,
             max_rounds=max_rounds,
@@ -145,7 +152,7 @@ class EmulatedLab:
             strict=strict,
             jobs=jobs,
         )
-        lab.lab_dir = lab_dir
+        lab.source = tree.source
         return lab
 
     # -- boot stages -----------------------------------------------------------
@@ -405,7 +412,7 @@ class EmulatedLab:
         clone._keep_history = (
             self._keep_history if self._keep_history is not None else False
         )
-        clone.lab_dir = self.lab_dir
+        clone.source = self.source
         clone.quarantined = dict(self.quarantined)
         clone.disabled_machines = set(self.disabled_machines)
         clone.disabled_attachments = set(self.disabled_attachments)

@@ -20,6 +20,7 @@ from repro.emulation.intent import (
     LabIntent,
     OspfIntent,
 )
+from repro.emulation.labtree import LabTree
 from repro.exceptions import ConfigParseError
 
 
@@ -134,16 +135,16 @@ def _apply_domains(lab: LabIntent, domains: dict[str, int]) -> None:
             intent.ospf.interface_costs[interface.name] = interface.ospf_cost
 
 
-def parse_cbgp_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
-    """Parse a rendered C-BGP lab directory (network.cli).
+def parse_cbgp_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
+    """Parse a rendered C-BGP lab (network.cli), from a directory or a tree.
 
     A C-BGP lab is one monolithic script, so there is no per-machine
     work to fan out; ``jobs`` is accepted for interface parity with
     the other platform parsers and ignored.
     """
     del jobs
-    path = os.path.join(str(lab_dir), "network.cli")
-    if not os.path.exists(path):
-        raise ConfigParseError("no network.cli in %s" % lab_dir, path)
-    with open(path) as handle:
-        return parse_cbgp_script(handle.read())
+    with LabTree.of(source) as tree:
+        text = tree.read("network.cli")
+    if text is None:
+        raise ConfigParseError("no network.cli in %s" % tree.source, "network.cli")
+    return parse_cbgp_script(text)

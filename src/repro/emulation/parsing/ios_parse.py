@@ -20,7 +20,8 @@ from repro.emulation.intent import (
     LabIntent,
     OspfIntent,
 )
-from repro.emulation.parsing.parallel import parse_machines
+from repro.emulation.labtree import LabTree
+from repro.emulation.parsing.parallel import parse_config_dir
 from repro.exceptions import ConfigParseError
 
 
@@ -183,37 +184,16 @@ def _route_map_actions(text: str) -> dict[str, dict]:
     return actions
 
 
-def parse_dynagen_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
+def parse_dynagen_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
     """Parse a rendered Dynagen lab: lab.net plus configs/*.cfg.
 
     Per-router configs are independent; ``jobs > 1`` fans the parses
     out over the engine's thread executor with results assembled in sorted
     order, identical to a serial parse.
     """
-    lab_dir = str(lab_dir)
-    configs_dir = os.path.join(lab_dir, "configs")
-    if not os.path.isdir(configs_dir):
-        raise ConfigParseError("no configs/ directory in %s" % lab_dir, configs_dir)
     lab = LabIntent(platform="dynagen")
-    machines = sorted(
-        entry[: -len(".cfg")]
-        for entry in os.listdir(configs_dir)
-        if entry.endswith(".cfg")
-    )
-
-    def parse_one(machine: str) -> DeviceIntent:
-        with open(os.path.join(configs_dir, machine + ".cfg")) as handle:
-            try:
-                return parse_ios_config(handle.read(), machine)
-            except ConfigParseError as exc:
-                # One broken router does not abort the lab parse: the
-                # boot layer raises (strict) or quarantines (non-strict).
-                device = DeviceIntent(name=machine, vendor="ios")
-                device.boot_errors.append(exc)
-                return device
-
-    for machine, device in parse_machines(machines, parse_one, jobs=jobs):
-        lab.devices[machine] = device
+    with LabTree.of(source) as tree:
+        parse_config_dir(tree, lab, ".cfg", parse_ios_config, "ios", jobs=jobs)
     return lab
 
 

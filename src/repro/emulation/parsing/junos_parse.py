@@ -20,7 +20,8 @@ from repro.emulation.intent import (
     LabIntent,
     OspfIntent,
 )
-from repro.emulation.parsing.parallel import parse_machines
+from repro.emulation.labtree import LabTree
+from repro.emulation.parsing.parallel import parse_config_dir
 from repro.exceptions import ConfigParseError
 
 
@@ -296,7 +297,7 @@ def _policy_local_prefs(policy_options: dict) -> dict[str, int]:
     return prefs
 
 
-def parse_junosphere_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
+def parse_junosphere_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
     """Parse a rendered Junosphere lab: topology.vmm plus configs/.
 
     Per-router configs are independent; ``jobs > 1`` fans the parses
@@ -304,39 +305,14 @@ def parse_junosphere_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent
     order, identical to a serial parse.  The VMM wiring pass stays
     serial — it is one small file applied after all devices exist.
     """
-    lab_dir = str(lab_dir)
-    configs_dir = os.path.join(lab_dir, "configs")
-    if not os.path.isdir(configs_dir):
-        raise ConfigParseError("no configs/ directory in %s" % lab_dir, configs_dir)
     lab = LabIntent(platform="junosphere")
-    machines = sorted(
-        entry[: -len(".conf")]
-        for entry in os.listdir(configs_dir)
-        if entry.endswith(".conf")
-    )
-
-    def parse_one(machine: str) -> DeviceIntent:
-        with open(os.path.join(configs_dir, machine + ".conf")) as handle:
-            try:
-                return parse_junos_config(handle.read(), machine)
-            except ConfigParseError as exc:
-                # One broken router does not abort the lab parse: the
-                # boot layer raises (strict) or quarantines (non-strict).
-                device = DeviceIntent(name=machine, vendor="junos")
-                device.boot_errors.append(exc)
-                return device
-
-    for machine, device in parse_machines(machines, parse_one, jobs=jobs):
-        lab.devices[machine] = device
-    _apply_vmm_wiring(lab, os.path.join(lab_dir, "topology.vmm"))
+    with LabTree.of(source) as tree:
+        parse_config_dir(tree, lab, ".conf", parse_junos_config, "junos", jobs=jobs)
+        _apply_vmm_wiring(lab, tree.read("topology.vmm") or "")
     return lab
 
 
-def _apply_vmm_wiring(lab: LabIntent, vmm_path: str) -> None:
-    if not os.path.exists(vmm_path):
-        return
-    with open(vmm_path) as handle:
-        text = handle.read()
+def _apply_vmm_wiring(lab: LabIntent, text: str) -> None:
     current_vm = None
     for raw in text.splitlines():
         line = raw.strip()

@@ -1,10 +1,10 @@
 """Netkit lab parser: lab.conf + startup files + /etc trees (§5.7).
 
-Boots a lab *from the rendered files on disk*, the same artefacts
-Netkit's ``lstart`` consumes: ``lab.conf`` gives the wiring,
-``<machine>.startup`` the interface addressing, and each machine's
-``etc/quagga``, ``etc/bind`` and ``etc/rpki`` trees the daemon
-configurations.
+Boots a lab *from the rendered files*, the same artefacts Netkit's
+``lstart`` consumes, read through a :class:`LabTree`: ``lab.conf``
+gives the wiring, ``<machine>.startup`` the interface addressing, and
+each machine's ``etc/quagga``, ``etc/bind`` and ``etc/rpki`` trees the
+daemon configurations.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.emulation.intent import (
     InterfaceIntent,
     LabIntent,
 )
+from repro.emulation.labtree import LabTree
 from repro.emulation.parsing.parallel import parse_machines
 from repro.emulation.parsing.quagga_parse import (
     intern_address,
@@ -96,10 +97,18 @@ def parse_startup(
         iface = match.group("iface")
         if iface == "lo":
             continue
-        address = intern_address(addresses, match.group("ip"))
-        prefixlen = ipaddress.ip_network(
-            "0.0.0.0/%s" % match.group("mask")
-        ).prefixlen
+        try:
+            address = intern_address(addresses, match.group("ip"))
+            prefixlen = ipaddress.ip_network(
+                "0.0.0.0/%s" % match.group("mask")
+            ).prefixlen
+        except ValueError:
+            raise ConfigParseError(
+                "bad address %s netmask %s on %s"
+                % (match.group("ip"), match.group("mask"), iface),
+                "%s.startup" % machine,
+                lineno,
+            ) from None
         if iface.startswith("lo:"):
             interfaces.append(
                 InterfaceIntent(
@@ -157,8 +166,8 @@ def parse_rpki_conf(text: str) -> dict:
     return config
 
 
-def parse_netkit_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
-    """Parse a rendered Netkit lab directory into a :class:`LabIntent`.
+def parse_netkit_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
+    """Parse a rendered Netkit lab (a directory or a :class:`LabTree`).
 
     Each machine's files (startup + quagga + service trees) are
     independent, so with ``jobs > 1`` the per-machine parses fan out
@@ -170,47 +179,55 @@ def parse_netkit_lab(lab_dir: str | os.PathLike, jobs: int = 1) -> LabIntent:
     whole parse: an interface address and every BGP ``peer_ip`` naming
     it are the same object, parsed once.
     """
-    lab_dir = str(lab_dir)
-    lab_conf_path = os.path.join(lab_dir, "lab.conf")
-    if not os.path.exists(lab_conf_path):
-        raise ConfigParseError("no lab.conf in %s" % lab_dir, lab_conf_path)
-    with open(lab_conf_path) as handle:
-        wiring = parse_lab_conf(handle.read())
+    with LabTree.of(source) as tree:
+        text = tree.read("lab.conf")
+        if text is None:
+            raise ConfigParseError("no lab.conf in %s" % tree.source, "lab.conf")
+        wiring = parse_lab_conf(text)
 
-    lab = LabIntent(platform="netkit")
-    addresses: dict = {}
-    machines = sorted(
-        set(wiring)
-        | {
-            entry[: -len(".startup")]
-            for entry in os.listdir(lab_dir)
-            if entry.endswith(".startup")
-        }
-    )
-    for machine, device in parse_machines(
-        machines,
-        lambda machine: _parse_machine(lab_dir, machine, wiring, addresses),
-        jobs=jobs,
-    ):
-        lab.devices[machine] = device
+        lab = LabIntent(platform="netkit")
+        addresses: dict = {}
+        machines = sorted(
+            set(wiring)
+            | {
+                entry[: -len(".startup")]
+                for entry in tree.listdir()
+                if entry.endswith(".startup")
+            }
+        )
+        for machine, device in parse_machines(
+            machines,
+            lambda machine: _parse_machine(tree, machine, wiring, addresses),
+            jobs=jobs,
+        ):
+            lab.devices[machine] = device
     return lab
 
 
 def _parse_machine(
-    lab_dir: str, machine: str, wiring: dict, addresses: dict
+    tree: LabTree, machine: str, wiring: dict, addresses: dict
 ) -> DeviceIntent:
-    """Parse one machine's files — the independent unit of boot work."""
+    """Parse one machine's files — the independent unit of boot work.
+
+    A file that fails to parse does not abort the whole lab parse: the
+    error is recorded in ``device.boot_errors`` and the boot layer
+    decides (strict mode raises it, non-strict quarantines the
+    machine).  This mirrors a real host, where one broken VM leaves the
+    rest of the lab starting normally.
+    """
     device = DeviceIntent(name=machine, vendor="quagga")
-    startup_path = os.path.join(lab_dir, "%s.startup" % machine)
-    if os.path.exists(startup_path):
-        with open(startup_path) as handle:
-            device.interfaces = parse_startup(handle.read(), machine, addresses)
+    try:
+        text = tree.read("%s.startup" % machine)
+        if text is not None:
+            device.interfaces = parse_startup(text, machine, addresses)
+        _load_services(tree, machine, device)
+    except ConfigParseError as exc:
+        device.boot_errors.append(exc)
     for interface in device.interfaces:
         index = _interface_index(interface.name)
         if index is not None:
             interface.collision_domain = wiring.get(machine, {}).get(index)
-    _load_quagga(lab_dir, machine, device, addresses)
-    _load_services(lab_dir, machine, device)
+    _load_quagga(tree, machine, device, addresses)
     metric_inc("deploy.configs_parsed")
     return device
 
@@ -221,87 +238,54 @@ def _interface_index(name: str) -> int | None:
 
 
 def _load_quagga(
-    lab_dir: str, machine: str, device: DeviceIntent, addresses: dict
+    tree: LabTree, machine: str, device: DeviceIntent, addresses: dict
 ) -> None:
-    """Parse one machine's quagga tree, collecting errors per device.
-
-    A daemon config that fails to parse does not abort the whole lab
-    parse: the error is recorded in ``device.boot_errors`` and the boot
-    layer decides (strict mode raises it, non-strict quarantines the
-    machine).  This mirrors a real host, where one broken VM leaves the
-    rest of the lab starting normally.
-    """
-    quagga_dir = os.path.join(lab_dir, machine, "etc", "quagga")
-    if not os.path.isdir(quagga_dir):
-        return
-    zebra_path = os.path.join(quagga_dir, "zebra.conf")
-    if os.path.exists(zebra_path):
-        with open(zebra_path) as handle:
-            try:
-                device.hostname = parse_zebra(handle.read(), zebra_path)
-            except ConfigParseError as exc:
-                device.boot_errors.append(exc)
-    ospfd_path = os.path.join(quagga_dir, "ospfd.conf")
-    if os.path.exists(ospfd_path):
-        with open(ospfd_path) as handle:
-            try:
-                device.ospf = parse_ospfd(handle.read(), ospfd_path)
-            except ConfigParseError as exc:
-                device.boot_errors.append(exc)
-        if device.ospf is not None:
-            for interface in device.interfaces:
-                if interface.name in device.ospf.interface_costs:
-                    interface.ospf_cost = device.ospf.interface_costs[interface.name]
-    bgpd_path = os.path.join(quagga_dir, "bgpd.conf")
-    if os.path.exists(bgpd_path):
-        with open(bgpd_path) as handle:
-            try:
-                device.bgp = parse_bgpd(handle.read(), bgpd_path, addresses)
-            except ConfigParseError as exc:
-                device.boot_errors.append(exc)
-    isisd_path = os.path.join(quagga_dir, "isisd.conf")
-    if os.path.exists(isisd_path):
-        with open(isisd_path) as handle:
-            try:
-                device.isis = parse_isisd(handle.read(), isisd_path)
-            except ConfigParseError as exc:
-                device.boot_errors.append(exc)
-        if device.isis is not None:
-            for interface in device.interfaces:
-                if interface.name in device.isis.interface_metrics:
-                    interface.ospf_cost = device.isis.interface_metrics[interface.name]
+    """Parse one machine's quagga daemons, collecting errors per file."""
+    daemons = (
+        ("zebra.conf", "hostname", parse_zebra),
+        ("ospfd.conf", "ospf", parse_ospfd),
+        ("bgpd.conf", "bgp", lambda text, path: parse_bgpd(text, path, addresses)),
+        ("isisd.conf", "isis", parse_isisd),
+    )
+    for name, attribute, parse in daemons:
+        path = "%s/etc/quagga/%s" % (machine, name)
+        try:
+            text = tree.read(path)
+            if text is not None:
+                setattr(device, attribute, parse(text, path))
+        except ConfigParseError as exc:
+            device.boot_errors.append(exc)
+    if device.ospf is not None:
+        for interface in device.interfaces:
+            if interface.name in device.ospf.interface_costs:
+                interface.ospf_cost = device.ospf.interface_costs[interface.name]
+    if device.isis is not None:
+        for interface in device.interfaces:
+            if interface.name in device.isis.interface_metrics:
+                interface.ospf_cost = device.isis.interface_metrics[interface.name]
 
 
-def _load_services(lab_dir: str, machine: str, device: DeviceIntent) -> None:
-    etc_dir = os.path.join(lab_dir, machine, "etc")
-    bind_dir = os.path.join(etc_dir, "bind")
+def _load_services(tree: LabTree, machine: str, device: DeviceIntent) -> None:
+    etc = "%s/etc/" % machine
     dns = DnsIntent()
     have_dns = False
-    if os.path.isdir(bind_dir):
-        for entry in sorted(os.listdir(bind_dir)):
-            if entry.startswith("db."):
-                with open(os.path.join(bind_dir, entry)) as handle:
-                    dns.zones.append(parse_bind_zone(handle.read()))
-                dns.is_server = True
-                have_dns = True
-    resolv_path = os.path.join(etc_dir, "resolv.conf")
-    if os.path.exists(resolv_path):
-        with open(resolv_path) as handle:
-            for raw in handle:
-                parts = raw.split()
-                if len(parts) >= 2 and parts[0] == "nameserver":
-                    dns.resolver = parts[1]
-                    have_dns = True
-                elif len(parts) >= 2 and parts[0] == "domain":
-                    dns.domain = parts[1]
+    for entry in tree.listdir(etc + "bind"):
+        if entry.startswith("db."):
+            dns.zones.append(parse_bind_zone(tree.read(etc + "bind/" + entry) or ""))
+            dns.is_server = True
+            have_dns = True
+    for raw in (tree.read(etc + "resolv.conf") or "").splitlines():
+        parts = raw.split()
+        if len(parts) >= 2 and parts[0] == "nameserver":
+            dns.resolver = parts[1]
+            have_dns = True
+        elif len(parts) >= 2 and parts[0] == "domain":
+            dns.domain = parts[1]
     if have_dns:
         device.dns = dns
 
-    rpki_dir = os.path.join(etc_dir, "rpki")
-    if os.path.isdir(rpki_dir):
-        for entry in sorted(os.listdir(rpki_dir)):
-            if entry.endswith(".conf"):
-                with open(os.path.join(rpki_dir, entry)) as handle:
-                    config = parse_rpki_conf(handle.read())
-                device.rpki_role = config.get("role")
-                device.rpki_config = config
+    for entry in tree.listdir(etc + "rpki"):
+        if entry.endswith(".conf"):
+            config = parse_rpki_conf(tree.read(etc + "rpki/" + entry) or "")
+            device.rpki_role = config.get("role")
+            device.rpki_config = config

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from repro.emulation.intent import DeviceIntent, LabIntent
+from repro.emulation.labtree import LabTree
 from repro.engine.executors import ThreadExecutor, run_calls
+from repro.exceptions import ConfigParseError
 from repro.observability import metric_inc
 
 
@@ -44,3 +47,36 @@ def parse_machines(
     finally:
         executor.shutdown()
     return list(zip(machines, results))
+
+
+def parse_config_dir(
+    tree: LabTree,
+    lab: LabIntent,
+    suffix: str,
+    parse_config: Callable[[str, str], DeviceIntent],
+    vendor: str,
+    jobs: int = 1,
+) -> None:
+    """Parse every ``configs/<machine><suffix>`` of ``tree`` into ``lab``.
+
+    A router whose config fails to parse carries the error in
+    ``boot_errors``; the boot layer raises it or quarantines the router.
+    """
+    if "configs" not in tree.listdir():
+        raise ConfigParseError("no configs/ directory in %s" % tree.source, "configs")
+    machines = sorted(
+        entry[: -len(suffix)]
+        for entry in tree.listdir("configs")
+        if entry.endswith(suffix)
+    )
+
+    def parse_one(machine: str) -> DeviceIntent:
+        try:
+            return parse_config(tree.read("configs/" + machine + suffix), machine)
+        except ConfigParseError as exc:
+            device = DeviceIntent(name=machine, vendor=vendor)
+            device.boot_errors.append(exc)
+            return device
+
+    for machine, device in parse_machines(machines, parse_one, jobs=jobs):
+        lab.devices[machine] = device

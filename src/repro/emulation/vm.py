@@ -16,6 +16,7 @@ from collections import Counter
 from typing import Optional
 
 from repro.emulation.intent import DeviceIntent
+from repro.emulation.labtree import LabTree
 from repro.exceptions import MeasurementError
 
 
@@ -255,31 +256,23 @@ class VirtualMachine:
         return "%s\n%s uptime is 1 minute" % (banner, self.intent.hostname or self.name)
 
     def show_running_config(self) -> str:
-        """The device's actual configuration files, read back from disk."""
-        import glob
-        import os
-
-        lab_dir = self.lab.lab_dir
-        if lab_dir is None:
+        """The device's actual configuration files, read back from the lab's source."""
+        if self.lab.source is None:
             return "%% configuration archive unavailable (lab built from intent)"
         platform = self.lab.intent.platform
-        if platform == "netkit":
-            paths = sorted(
-                glob.glob(os.path.join(lab_dir, self.name, "etc", "quagga", "*.conf"))
-            )
-        elif platform == "dynagen":
-            paths = [os.path.join(lab_dir, "configs", "%s.cfg" % self.name)]
-        elif platform == "junosphere":
-            paths = [os.path.join(lab_dir, "configs", "%s.conf" % self.name)]
-        else:
-            paths = [os.path.join(lab_dir, "network.cli")]
-        sections = []
-        for path in paths:
-            if os.path.exists(path):
-                with open(path) as handle:
-                    sections.append(
-                        "! file: %s\n%s" % (os.path.basename(path), handle.read())
-                    )
+        with LabTree(self.lab.source) as tree:
+            if platform == "netkit":
+                quagga = self.name + "/etc/quagga"
+                names = [name for name in tree.listdir(quagga) if name.endswith(".conf")]
+                paths = [quagga + "/" + name for name in names]
+            elif platform == "dynagen":
+                paths = ["configs/%s.cfg" % self.name]
+            elif platform == "junosphere":
+                paths = ["configs/%s.conf" % self.name]
+            else:
+                paths = ["network.cli"]
+            texts = [(path.rpartition("/")[2], tree.read(path)) for path in paths]
+        sections = ["! file: %s\n%s" % item for item in texts if item[1] is not None]
         if not sections:
             return "%% no configuration files found"
         return "\n".join(sections)

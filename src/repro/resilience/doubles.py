@@ -59,9 +59,9 @@ class FlakyHost:
         self._maybe_fail("extract")
         return self._host.extract(archive_path, lab_name)
 
-    def lstart(self, lab_dir, lab_name, **boot_options):
+    def lstart(self, source, lab_name, **boot_options):
         self._maybe_fail("lstart")
-        return self._host.lstart(lab_dir, lab_name, **boot_options)
+        return self._host.lstart(source, lab_name, **boot_options)
 
     def __getattr__(self, name):
         return getattr(self._host, name)

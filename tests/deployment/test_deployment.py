@@ -36,9 +36,11 @@ class TestHost:
         archive_path = archive_lab(si_render.lab_dir, "si", str(tmp_path))
         remote = host.receive(archive_path, "si")
         assert os.path.exists(remote)
-        lab_dir = host.extract(remote, "si")
-        assert os.path.exists(os.path.join(lab_dir, "lab.conf"))
-        lab = host.lstart(lab_dir, "si")
+        tree = host.extract(remote, "si")
+        assert "lab.conf" in tree.listdir()
+        assert tree.source == remote
+        lab = host.lstart(tree, "si")
+        assert lab.source == remote
         assert len(lab.network) == 14
         assert host.running_labs() == ["si"]
         assert host.vm_count("si") == 14
@@ -119,11 +121,15 @@ class TestFullDeployFlow:
         ready = si_deployment.monitor.events[-1]
         assert "14 virtual machines up" in ready.message
 
-    def test_deployment_artifacts_on_disk(self, si_deployment):
+    def test_deployment_artifacts_on_disk(self, si_render, tmp_path):
         # The staged archive is cleaned up by default; what survives is
-        # the extracted lab on the host.
-        assert not os.path.exists(si_deployment.archive_path)
-        assert os.path.exists(os.path.join(si_deployment.lab_dir, "lab.conf"))
+        # the received archive on the host, which the lab boots from
+        # without unpacking it.
+        host = LocalEmulationHost(str(tmp_path))
+        record = deploy(si_render.lab_dir, host=host)
+        assert not os.path.exists(record.archive_path)
+        assert os.listdir(tmp_path) == ["lab.tar.gz"]
+        assert record.source == record.lab.source == str(tmp_path / "lab.tar.gz")
 
     def test_keep_archive_flag_preserves_archive(self, si_render, tmp_path):
         host = LocalEmulationHost(work_dir=str(tmp_path / "host"))

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from repro.deployment import LocalEmulationHost, archive_lab
 from repro.emulation import EmulatedLab
 from repro.exceptions import EmulationError
 from repro.observability import Telemetry
@@ -20,6 +21,74 @@ def _corrupted_lab_dir(si_render, tmp_path, machine="as100r1",
     with open(target, "a") as handle:
         handle.write(content)
     return lab_dir
+
+
+@pytest.fixture(params=["directory", "archive"])
+def booted_from(request, tmp_path):
+    """Hand a lab to boot as its directory or as the tree a host extracts."""
+
+    def source(lab_dir):
+        if request.param == "directory":
+            return lab_dir
+        host = LocalEmulationHost(str(tmp_path / "host"))
+        archive = archive_lab(lab_dir, "lab", str(tmp_path))
+        return host.extract(host.receive(archive, "lab"), "lab")
+
+    return source
+
+
+def _bad_netmask_lab_dir(si_render, tmp_path):
+    lab_dir = str(tmp_path / "lab")
+    shutil.copytree(si_render.lab_dir, lab_dir)
+    path = os.path.join(lab_dir, "as100r1.startup")
+    with open(path) as handle:
+        lines = handle.read().splitlines(keepends=True)
+    lineno = next(
+        number for number, line in enumerate(lines, start=1) if " eth0 " in line
+    )
+    lines[lineno - 1] = lines[lineno - 1].replace("255.255.255.252", "255.0.255.0")
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+    return lab_dir, lineno
+
+
+def _non_utf8_lab_dir(si_render, tmp_path):
+    lab_dir = _corrupted_lab_dir(si_render, tmp_path, content="")
+    with open(os.path.join(lab_dir, "as100r1", "etc", "quagga", "zebra.conf"), "ab") as handle:
+        handle.write(b"\xff\xfe")
+    return lab_dir
+
+
+class TestMalformedFiles:
+    def test_bad_netmask_quarantines_the_device(self, si_render, tmp_path):
+        lab_dir, lineno = _bad_netmask_lab_dir(si_render, tmp_path)
+        lab = EmulatedLab.boot(lab_dir, strict=False)
+        assert set(lab.quarantined) == {"as100r1"}
+        diagnostic = lab.quarantined["as100r1"]
+        assert (diagnostic.file, diagnostic.line) == ("as100r1.startup", lineno)
+        assert "255.0.255.0" in diagnostic.cause
+        assert lab.converged and len(lab.network) == 13
+
+    def test_bad_netmask_strict_raises_emulation_error(self, si_render, tmp_path):
+        lab_dir, _ = _bad_netmask_lab_dir(si_render, tmp_path)
+        with pytest.raises(EmulationError, match="255.0.255.0"):
+            EmulatedLab.boot(lab_dir)
+
+    def test_non_utf8_config_quarantines_the_device(self, si_render, tmp_path, booted_from):
+        lab_dir = _non_utf8_lab_dir(si_render, tmp_path)
+        lab = EmulatedLab.boot(booted_from(lab_dir), strict=False)
+        assert set(lab.quarantined) == {"as100r1"}
+        diagnostic = lab.quarantined["as100r1"]
+        assert diagnostic.file == "as100r1/etc/quagga/zebra.conf"
+        assert "UTF-8" in diagnostic.cause
+        assert lab.converged and len(lab.network) == 13
+
+    def test_non_utf8_config_strict_raises_emulation_error(
+        self, si_render, tmp_path, booted_from
+    ):
+        lab_dir = _non_utf8_lab_dir(si_render, tmp_path)
+        with pytest.raises(EmulationError, match="UTF-8"):
+            EmulatedLab.boot(booted_from(lab_dir))
 
 
 class TestNonStrictBoot:
