@@ -41,12 +41,13 @@ class LocalEmulationHost:
         return destination
 
     def extract(self, archive_path: str, lab_name: str) -> LabTree:
-        """Check a received archive; returns the lab as a tree over it."""
+        """Check a received archive; returns its tree (nothing unpacked, ``lab_name`` unused)."""
         tree = LabTree(archive_path)
         if not tree.is_archive:
             raise DeploymentError("archive %s does not exist" % archive_path)
         try:
-            return tree.load()
+            tree.load()
+            return tree
         except tarfile.TarError as exc:
             raise DeploymentError("could not extract %s: %s" % (archive_path, exc)) from exc
 

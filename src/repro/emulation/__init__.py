@@ -2,11 +2,10 @@
 
 This package is the substitution for the real emulation platforms the
 paper deploys onto (Netkit/Dynagen/Junosphere/C-BGP): it parses the
-*generated configuration files* (through :class:`LabTree`, from the
-rendered directory or the received archive), builds the layer-2
-fabric, converges OSPF and BGP (with per-vendor decision-process
-semantics), and offers virtual machines that execute measurement
-commands.  See DESIGN.md.
+*generated configuration files* (a :class:`LabTree`, from the rendered
+directory or the received archive), builds the layer-2 fabric, converges
+OSPF and BGP (with per-vendor decision-process semantics), and offers
+VMs that execute measurement commands.  See DESIGN.md.
 """
 
 from repro.emulation.bgp_engine import (

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from repro.emulation.bgp_engine import BgpResult, BgpSimulation
 from repro.emulation.dataplane import Dataplane
@@ -93,6 +94,8 @@ class EmulatedLab:
         self._keep_history = keep_history
         #: Lab directory or archive booted from (None for intent-built labs).
         self.source: Optional[str] = None
+        #: The tree ``show running-config`` reads while :meth:`sharing_source` holds one.
+        self.source_tree: Optional[LabTree] = None
         #: machine name -> BootDiagnostic for devices excluded at boot.
         self.quarantined: dict[str, BootDiagnostic] = {}
         #: live fault state, applied on top of the parsed topology.
@@ -128,12 +131,11 @@ class EmulatedLab:
     ) -> "EmulatedLab":
         """Parse a rendered lab and bring the network up.
 
-        ``source`` is the lab directory or a :class:`LabTree`, such as
-        ``LocalEmulationHost.extract`` returns; the lab keeps only its
-        :attr:`source`.  ``jobs`` fans per-machine config parsing and
-        per-VM bring-up over the engine's thread executor; every width
-        produces an identical lab — the parallel-boot determinism tests
-        pin that down.
+        ``source`` is the lab directory or a :class:`LabTree` (what
+        ``LocalEmulationHost.extract`` returns).  ``jobs`` fans per-machine
+        config parsing and per-VM bring-up over the engine's thread
+        executor; every width produces an identical lab — the
+        parallel-boot determinism tests pin that down.
         """
         tree = LabTree.of(source)
         platform = platform or detect_platform(tree)
@@ -413,6 +415,7 @@ class EmulatedLab:
             self._keep_history if self._keep_history is not None else False
         )
         clone.source = self.source
+        clone.source_tree = None
         clone.quarantined = dict(self.quarantined)
         clone.disabled_machines = set(self.disabled_machines)
         clone.disabled_attachments = set(self.disabled_attachments)
@@ -427,6 +430,18 @@ class EmulatedLab:
         return clone
 
     # -- access ---------------------------------------------------------------
+    @contextmanager
+    def sharing_source(self) -> Iterator[None]:
+        """Let the ``show running-config`` calls inside read the source once, not each."""
+        tree = None
+        if self.source is not None and self.source_tree is None:
+            tree = self.source_tree = LabTree(self.source)
+        try:
+            yield
+        finally:
+            if tree is not None:
+                self.source_tree = None
+
     def vm(self, name: str) -> VirtualMachine:
         try:
             return self._vms[name]

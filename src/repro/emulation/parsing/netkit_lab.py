@@ -99,16 +99,10 @@ def parse_startup(
             continue
         try:
             address = intern_address(addresses, match.group("ip"))
-            prefixlen = ipaddress.ip_network(
-                "0.0.0.0/%s" % match.group("mask")
-            ).prefixlen
-        except ValueError:
-            raise ConfigParseError(
-                "bad address %s netmask %s on %s"
-                % (match.group("ip"), match.group("mask"), iface),
-                "%s.startup" % machine,
-                lineno,
-            ) from None
+            prefixlen = ipaddress.ip_network("0.0.0.0/%s" % match.group("mask")).prefixlen
+        except ValueError as exc:
+            message = "%s on %s" % (exc, iface)
+            raise ConfigParseError(message, "%s.startup" % machine, lineno) from None
         if iface.startswith("lo:"):
             interfaces.append(
                 InterfaceIntent(

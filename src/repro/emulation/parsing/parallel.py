@@ -57,11 +57,7 @@ def parse_config_dir(
     vendor: str,
     jobs: int = 1,
 ) -> None:
-    """Parse every ``configs/<machine><suffix>`` of ``tree`` into ``lab``.
-
-    A router whose config fails to parse carries the error in
-    ``boot_errors``; the boot layer raises it or quarantines the router.
-    """
+    """Parse each ``configs/<machine><suffix>``; a failed parse lands in ``boot_errors``."""
     if "configs" not in tree.listdir():
         raise ConfigParseError("no configs/ directory in %s" % tree.source, "configs")
     machines = sorted(

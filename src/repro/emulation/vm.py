@@ -260,18 +260,19 @@ class VirtualMachine:
         if self.lab.source is None:
             return "%% configuration archive unavailable (lab built from intent)"
         platform = self.lab.intent.platform
-        with LabTree(self.lab.source) as tree:
-            if platform == "netkit":
-                quagga = self.name + "/etc/quagga"
-                names = [name for name in tree.listdir(quagga) if name.endswith(".conf")]
-                paths = [quagga + "/" + name for name in names]
-            elif platform == "dynagen":
-                paths = ["configs/%s.cfg" % self.name]
-            elif platform == "junosphere":
-                paths = ["configs/%s.conf" % self.name]
-            else:
-                paths = ["network.cli"]
-            texts = [(path.rpartition("/")[2], tree.read(path)) for path in paths]
+        # a fresh tree's text is dropped on return; a shared one is the caller's
+        tree = self.lab.source_tree or LabTree(self.lab.source)
+        if platform == "netkit":
+            quagga = self.name + "/etc/quagga"
+            names = [name for name in tree.listdir(quagga) if name.endswith(".conf")]
+            paths = [quagga + "/" + name for name in names]
+        elif platform == "dynagen":
+            paths = ["configs/%s.cfg" % self.name]
+        elif platform == "junosphere":
+            paths = ["configs/%s.conf" % self.name]
+        else:
+            paths = ["network.cli"]
+        texts = [(path.rpartition("/")[2], tree.read(path)) for path in paths]
         sections = ["! file: %s\n%s" % item for item in texts if item[1] is not None]
         if not sections:
             return "%% no configuration files found"

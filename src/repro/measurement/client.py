@@ -118,7 +118,7 @@ class MeasurementClient:
         """
         template = template_for_command(command)
         hosts = list(hosts)
-        with span("measure.send", command=command, hosts=len(hosts)):
+        with span("measure.send", command=command, hosts=len(hosts)), self.lab.sharing_source():
             for host in hosts:
                 yield self._measure_host(host, command, template)
 

@@ -71,4 +71,23 @@ def test_parse_releases_the_archive(rendered):
     platform, _, host, archive = rendered
     tree = host.extract(archive, platform)
     EmulatedLab.boot(tree, max_rounds=40)
-    assert tree._buffer is None and tree._files == {}
+    assert tree._loaded is None
+
+
+def test_a_fan_out_reads_the_archive_once(rendered, labs, monkeypatch):
+    # show running-config on every VM of one send shares a single read of
+    # the archive, and drops it when the send is done
+    from repro.emulation import labtree
+    from repro.measurement import MeasurementClient
+
+    from_dir, from_archive = labs
+    reads = []
+    decompress = labtree.gzip.decompress
+    monkeypatch.setattr(
+        labtree.gzip, "decompress", lambda data: reads.append(1) or decompress(data)
+    )
+    names = sorted(vm.name for vm in from_dir.vms())
+    run = MeasurementClient(from_archive).send("show running-config", names)
+    assert len(reads) == 1 and from_archive.source_tree is None
+    expected = MeasurementClient(from_dir).send("show running-config", names)
+    assert [r.output for r in run.results] == [r.output for r in expected.results]

@@ -63,11 +63,14 @@ class TestArchiveFormat:
         archive_path = archive_lab(si_render.lab_dir, "si", str(tmp_path))
         host = LocalEmulationHost(work_dir=str(tmp_path / "host"))
         tree = host.extract(archive_path, "si")
-        rendered = {
-            path: data.decode() for path, (data, _) in _tree(si_render.lab_dir).items()
-        }
-        assert _texts(tree) == rendered
-        assert _texts(LabTree(si_render.lab_dir)) == rendered
+        rendered = _tree(si_render.lab_dir)
+        texts = {path: data.decode() for path, (data, _) in rendered.items()}
+        assert _texts(tree) == texts
+        assert _texts(LabTree(si_render.lab_dir)) == texts
+        # the mode archive_lab writes in its own headers is what tar xzf restores
+        with tarfile.open(archive_path) as archive:
+            modes = {m.name: m.mode for m in archive.getmembers() if m.isreg()}
+        assert modes == {path: mode for path, (_, mode) in rendered.items()}
         assert os.listdir(tmp_path / "host") == []
 
     def test_members_in_sorted_preorder_without_pax_headers(self, si_render, tmp_path):
@@ -88,16 +91,6 @@ def _hostile(path, info, payload=b"owned\n"):
         else:
             archive.addfile(info)
     return str(path)
-
-
-def _outside_files(tmp_path, work_dir):
-    """Every file under ``tmp_path`` that is not inside ``work_dir``."""
-    return {
-        path
-        for path, _ in _tree(tmp_path).items()
-        if not path.startswith(os.path.relpath(work_dir, tmp_path) + os.sep)
-        and not path.endswith(".tar.gz")
-    }
 
 
 def _assert_nothing_written(tmp_path, work_dir):
