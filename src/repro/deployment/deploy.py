@@ -12,7 +12,9 @@ Each stage runs under a :class:`~repro.resilience.RetryPolicy` (default
 transient host errors are retried with deterministic backoff and every
 attempt lands in telemetry as ``retry.*`` metrics and ``fault.*``
 events.  The archive staging directory is temporary and cleaned up when
-the deployment finishes unless ``keep_archive=True``.
+the deployment finishes unless ``keep_archive=True``.  A host that
+:func:`deploy` makes itself is removed once no lab booted from it (forks
+included) is reachable, and at interpreter exit at the latest.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import shutil
 import stat
 import tarfile
 import tempfile
+import weakref
 from dataclasses import dataclass, field
 
 from repro.deployment.host import LocalEmulationHost
@@ -113,7 +116,10 @@ def deploy(
     archive is deleted on return unless ``keep_archive=True`` (it has
     already been transferred to the host either way).
     """
-    host = host or LocalEmulationHost()
+    owned = host is None
+    if owned:
+        host = LocalEmulationHost()
+        weakref.finalize(host, shutil.rmtree, host.work_dir, ignore_errors=True)
     monitor = monitor or ProgressMonitor()
     monitor.start()
     timings: dict[str, float] = {}
@@ -165,6 +171,8 @@ def deploy(
                 operation="deploy.lstart",
             )
         timings["start"] = stage.duration
+        if owned:
+            lab.source_keeper = host  # the lab boots from, and reads, its dir
         metric_inc("deploy.labs_started")
     finally:
         if not keep_archive and archive_staging is not None:

@@ -35,6 +35,14 @@ parallel sessions to one peer the last one still wins, as in the
 oracle.  Imported routes are interned, so identical paths are shared
 across RIBs and history snapshots instead of reallocated each round.
 
+Each fact is resolved once, by integer or machine name.  Next-hop costs
+are memoised per machine by ``address_key`` (an IPv4 address's integer;
+an IPv6 address stays an object, so the families never share a key) and
+die with each ``rebuild``, which also resolves every eBGP session's
+address onto its ``Session``.  ``decide`` returns a lone valid candidate
+without computing its key and skips the MED pass when fewer than two
+candidates carry a MED; otherwise it takes one ``min`` over the full key.
+
 ``bgp.messages`` counts update messages on the wire — one per session
 and prefix delivered, whether or not the receiver's import policy
 keeps it — and so is independent of the grouping: only the
@@ -73,11 +81,11 @@ Decision process order (classic BGP best path):
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.emulation.intent import BgpNeighborIntent
-from repro.emulation.network import EmulatedNetwork
+from repro.emulation.network import EmulatedNetwork, address_key
 from repro.emulation.ospf_engine import IgpState
 from repro.observability import (
     INFO,
@@ -145,7 +153,9 @@ class BgpRoute:
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
-            cached = hash(self._identity())
+            # The next hop enters by address_key: IPv4Address hashes in Python.
+            identity = self._identity()
+            cached = hash(identity[:2] + (address_key(self.next_hop),) + identity[3:])
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -180,6 +190,9 @@ class Session:
     peer: str
     intent: BgpNeighborIntent
     is_ebgp: bool
+    #: eBGP: the local machine's address towards the peer, resolved
+    #: once per ``rebuild`` (sessions are rebuilt with the fabric).
+    address: Optional[ipaddress.IPv4Address] = None
 
 
 @dataclass(slots=True)
@@ -244,8 +257,9 @@ class BgpSimulation:
         #: Intern pool: identical routes are shared across RIBs,
         #: selections, and history snapshots instead of reallocated.
         self._route_pool: dict[BgpRoute, BgpRoute] = {}
-        #: Memo for the export->import pipeline, keyed (sender, update-group key, route, eBGP session
-        #: address).  Survives ``rebuild`` across fault cycles (faults
+        #: Memo for the export->import pipeline, keyed (sender,
+        #: update-group key, route); an eBGP group's key holds the
+        #: session address.  Survives ``rebuild`` across fault cycles (faults
         #: change topology, never config), but entries touching a
         #: machine whose BGP-relevant config changed — a live update
         #: moving a loopback, router-id, or session policy — are
@@ -286,11 +300,13 @@ class BgpSimulation:
         state survives in the caller and is passed back through
         ``run(resume_from=...)`` so reconvergence is incremental.
         """
+        old_network = self.network
         if network is not None:
             self.network = network
-        #: machine -> next hop -> IGP cost memo; the decision process
-        #: resolves the same next hops for every candidate every round,
-        #: and the answer only changes when the fabric does.
+        #: machine -> address_key(next hop) -> IGP cost memo; the
+        #: decision process resolves the same next hops for every
+        #: candidate every round, and the answer only changes when the
+        #: fabric does, so the memo dies with each rebuild.
         self._next_hop_costs: dict[str, dict] = {}
         self.warnings = []
         self.vendors = {}
@@ -309,7 +325,7 @@ class BgpSimulation:
         self._build_sessions()
         self.local_routes = self._originate()
         config_changed = self._evict_stale_adverts()
-        self._track_dirty(old_local, old_sessions, config_changed)
+        self._track_dirty(old_network, old_local, old_sessions, config_changed)
 
     def _machine_fingerprint(self, name: str, device) -> tuple:
         """Every config input the export->import pipeline reads for one
@@ -367,6 +383,7 @@ class BgpSimulation:
 
     def _track_dirty(
         self,
+        old_network: EmulatedNetwork,
         old_local: dict[str, dict],
         old_sessions: dict[str, tuple],
         config_changed: set[str],
@@ -374,7 +391,8 @@ class BgpSimulation:
         """Accumulate the machines whose BGP inputs this rebuild moved.
 
         A machine is dirty when its config fingerprint, session set,
-        local originations, or IGP view changed since the last
+        local originations, IGP view or link attachments changed, or it
+        is a fabric neighbour of one whose attachments did, since the last
         completed run stored its event state — exactly the inputs the
         decision process and the export->import pipeline read.  A
         change to the machine set itself defeats the bookkeeping
@@ -413,12 +431,21 @@ class BgpSimulation:
                 for name, device in self.network.machines.items()
                 if self._prev_devices.get(name) is not device
             }
+            # A toggled attachment moves its machine's eBGP session
+            # addresses and owned addresses, which its fabric neighbours
+            # may resolve as unnumbered next hops.
+            toggled = old_network.disabled_attachments ^ self.network.disabled_attachments
+            moved = {name for name, _ in toggled}
+            near = {
+                peer for fabric in (old_network, self.network)
+                for name in moved for peer in fabric.neighbor_set(name)
+            }
             self._resume_dirty |= (
                 config_changed
                 | session_changed
                 | local_changed
                 | replaced
-                | (igp_dirty & machines)
+                | ((igp_dirty | moved | near) & machines)
             )
         self._prev_machines = machines
         self._prev_devices = dict(self.network.machines)
@@ -453,6 +480,8 @@ class BgpSimulation:
             alive = []
             for session in session_list:
                 if name in self._intent_of.get(session.peer, ()):
+                    if session.is_ebgp:
+                        session.address = self._session_address(name, session)
                     alive.append(session)
                 else:
                     self.warnings.append(
@@ -482,7 +511,9 @@ class BgpSimulation:
             seen.add(session.peer)
             intent = session.intent
             if session.is_ebgp:
-                receiver, flags, address = session.peer, (), intent.peer_ip
+                # The session address joins the key as text: it is the
+                # pipeline's one input a fault can move.
+                receiver, flags, address = session.peer, (str(session.address),), intent.peer_ip
             else:
                 receiving = self._intent_of[session.peer][sender]
                 receiver = None
@@ -547,8 +578,8 @@ class BgpSimulation:
 
     def _export(self, sender: str, route: BgpRoute, session: Session) -> BgpRoute:
         device = self.network.machines[sender]
+        # Routes are built positionally, in _ROUTE_FIELDS order.
         if session.is_ebgp:
-            next_hop = self._session_address(sender, session)
             prepend = 1 + (session.intent.prepend_out or 0)
             communities = route.communities
             added = getattr(session.intent, "communities_out", ()) or ()
@@ -556,24 +587,23 @@ class BgpSimulation:
                 communities = tuple(
                     sorted(set(communities) | set(added))
                 )
-            return replace(
-                route,
-                as_path=(device.bgp.asn,) * prepend + route.as_path,
-                next_hop=next_hop,
-                local_pref=0,  # receiver assigns
-                med=session.intent.med_out,
-                communities=communities,
-                originator=None,
+            return BgpRoute(
+                route.prefix, (device.bgp.asn,) * prepend + route.as_path,
+                session.address, 0,  # the receiver assigns local-pref
+                session.intent.med_out, route.origin, route.learned_via,
+                route.learned_from, route.from_client, None,
+                route.peer_router_id, route.peer_address, communities,
             )
         next_hop = route.next_hop
         if route.learned_via in ("local", "ebgp") and session.intent.next_hop_self:
             next_hop = device.loopback or next_hop
         if next_hop is None:
             next_hop = device.loopback
-        return replace(
-            route,
-            next_hop=next_hop,
-            originator=route.originator or sender,
+        return BgpRoute(
+            route.prefix, route.as_path, next_hop, route.local_pref, route.med,
+            route.origin, route.learned_via, route.learned_from,
+            route.from_client, route.originator or sender,
+            route.peer_router_id, route.peer_address, route.communities,
         )
 
     def _session_address(self, sender: str, session: Session):
@@ -614,25 +644,18 @@ class BgpSimulation:
                 return None  # inbound prefix filter
             local_pref = receiving_intent.local_pref_in or vendor.default_local_pref
             return self._intern(
-                replace(
-                    route,
-                    local_pref=local_pref,
-                    learned_via="ebgp",
-                    learned_from=sender,
-                    from_client=False,
-                    originator=None,
-                    peer_router_id=peer_router_id,
-                    peer_address=str(receiving_intent.peer_ip),
+                BgpRoute(
+                    route.prefix, route.as_path, route.next_hop, local_pref,
+                    route.med, route.origin, "ebgp", sender, False, None,
+                    peer_router_id, str(receiving_intent.peer_ip), route.communities,
                 )
             )
         return self._intern(
-            replace(
-                route,
-                learned_via="ibgp",
-                learned_from=sender,
-                from_client=receiving_intent.rr_client,
-                peer_router_id=peer_router_id,
-                peer_address=str(receiving_intent.peer_ip),
+            BgpRoute(
+                route.prefix, route.as_path, route.next_hop, route.local_pref,
+                route.med, route.origin, "ibgp", sender, receiving_intent.rr_client,
+                route.originator, peer_router_id, str(receiving_intent.peer_ip),
+                route.communities,
             )
         )
 
@@ -642,15 +665,14 @@ class BgpSimulation:
         For a route the group's export policy lets out: the route every
         member peer stores (subject to its own two loop checks), or
         ``None`` when the receiver's import policy rejects it.
-        Given the resolved session address (the only network-dependent
+        Given the eBGP session address (the only network-dependent
         input — everything else is config values that survive topology
-        deltas), the outcome is a pure function of (sender, group,
-        route), so a fault cycle that revisits earlier selections skips
+        deltas — and part of an eBGP group's key), the outcome is a pure
+        function of (sender, group key, route), so a fault cycle that revisits earlier selections skips
         the policy evaluation and route construction entirely.
         """
         session = group.session
-        anchor = self._session_address(sender, session) if session.is_ebgp else None
-        key = (sender, group.key, route, anchor)
+        key = (sender, group.key, route)
         try:
             imported = self._advert_cache[key]
             self._counts["bgp.advert_cache_hits"] += 1
@@ -667,8 +689,9 @@ class BgpSimulation:
     # -- decision process ----------------------------------------------------
     def _next_hop_cost(self, machine: str, next_hop) -> Optional[int]:
         costs = self._next_hop_costs.setdefault(machine, {})
+        key = address_key(next_hop)
         try:
-            return costs[next_hop]
+            return costs[key]
         except KeyError:
             pass
         cost = self.igp.cost_to_address(machine, next_hop)
@@ -677,9 +700,9 @@ class BgpSimulation:
             # direct fabric neighbour is reachable at zero cost even
             # without an IGP route to it.
             owner = self.network.owner_of(next_hop)
-            if owner is not None and owner in self.network.neighbors_of(machine):
+            if owner is not None and owner in self.network.neighbor_set(machine):
                 cost = 0
-        costs[next_hop] = cost
+        costs[key] = cost
         return cost
 
     def _valid(self, machine: str, route: BgpRoute) -> bool:
@@ -696,10 +719,12 @@ class BgpSimulation:
         return 0 if cost is None else cost
 
     def decide(self, machine: str, candidates: list[BgpRoute]) -> Optional[BgpRoute]:
-        """Run the decision process over one prefix's candidates."""
+        """Run the decision process over one prefix's candidates.
+
+        A lone valid candidate wins without its key being computed."""
         valid = [route for route in candidates if self._valid(machine, route)]
-        if not valid:
-            return None
+        if len(valid) < 2:
+            return valid[0] if valid else None
         vendor = self.vendors[machine]
         survivors = self._med_elimination(valid, vendor)
 
@@ -720,6 +745,8 @@ class BgpSimulation:
     @staticmethod
     def _med_elimination(routes: list[BgpRoute], vendor: VendorProfile) -> list[BgpRoute]:
         """Deterministic MED: per-neighbour-AS elimination of worse MEDs."""
+        if sum(route.med is not None for route in routes) < 2:
+            return routes  # no group can hold two MEDs to compare
         groups: dict = {}
         for route in routes:
             group_key = (
@@ -832,10 +859,11 @@ class BgpSimulation:
         convergence verdicts, periods, and history) match the reference
         exactly while quiescent routers do no work.
 
-        The RIB and both queues are keyed prefix first (``prefix ->
-        machine``): one re-export touches one prefix and many peers, so
-        the network object is hashed and ordered once per prefix while
-        the per-peer steps handle machine names only.  Within a prefix
+        The RIB, both queues and the reads of selections and local
+        routes are keyed prefix first (``prefix -> machine``): one
+        re-export touches one prefix and many peers, so the network
+        object is hashed and ordered once per prefix while the per-peer
+        steps hash machine names only (a ``str`` caches its hash).  Within a prefix
         machines are visited in name order, which gives every
         (receiver, prefix) its senders, and every receiver its
         prefixes, in the same order a machine-major sweep would.
@@ -868,6 +896,7 @@ class BgpSimulation:
             # changes invisible to the state key) still go out.
             rib_in = saved["rib_in"]
             contributions = saved["contributions"]
+            chosen = saved["chosen"]
             resend = set(dirty)
             for sender, groups in self._update_groups.items():
                 if sender not in resend and any(
@@ -897,6 +926,8 @@ class BgpSimulation:
             rib_in = {}
             #: prefix -> sender -> {peer: imported route} currently in RIBs.
             contributions = {}
+            #: prefix -> machine -> selected route: ``selected`` read prefix first.
+            chosen = {}
             # Every seeded selection is an unsent update; resumed learned
             # routes must also be re-decided (the reference drops them
             # unless re-delivered), so seed the decide queue with them.
@@ -904,12 +935,18 @@ class BgpSimulation:
             pending_decides = {}
             for name, table in selected.items():
                 for prefix, route in table.items():
+                    chosen.setdefault(prefix, {})[name] = route
                     pending_exports.setdefault(prefix, set()).add(name)
                     if route.learned_via != "local":
                         pending_decides.setdefault(prefix, set()).add(name)
             if resume_from is not None:
                 metric_inc("bgp.resume_full")
 
+        #: prefix -> machine -> locally originated route.
+        local_routes: dict = {}
+        for name, table in self.local_routes.items():
+            for prefix, route in table.items():
+                local_routes.setdefault(prefix, {})[name] = route
         machines = self.network.machines
         for round_index in range(max_rounds + 1):
             # Queue depth per round is *the* visibility into what the
@@ -935,6 +972,7 @@ class BgpSimulation:
                         "rib_in": rib_in,
                         "contributions": contributions,
                         "selected": selected,
+                        "chosen": chosen,
                         "pending_exports": pending_exports,
                     }
                     self._resume_dirty = set()
@@ -957,8 +995,9 @@ class BgpSimulation:
                 rib_prefix = rib_in.setdefault(prefix, {})
                 sent = contributions.setdefault(prefix, {})
                 redecide = pending_decides.setdefault(prefix, set())
+                chosen_prefix = chosen.get(prefix, {})
                 for sender in sorted(pending_exports[prefix]):
-                    route = selected.get(sender, {}).get(prefix)
+                    route = chosen_prefix.get(sender)
                     new_map: dict = {}
                     if route is not None:
                         learned_from = route.learned_from
@@ -999,24 +1038,28 @@ class BgpSimulation:
             pending_exports = {}
             for prefix in sorted(pending_decides):
                 rib_prefix = rib_in.get(prefix, {})
+                local_prefix = local_routes.get(prefix, {})
+                chosen_prefix = chosen.setdefault(prefix, {})
                 changed = set()
                 for receiver in sorted(pending_decides[prefix]):
                     device = machines.get(receiver)
                     if device is None or device.bgp is None:
                         continue
                     candidates = []
-                    local = self.local_routes.get(receiver, {}).get(prefix)
+                    local = local_prefix.get(receiver)
                     if local is not None:
                         candidates.append(local)
                     candidates.extend(rib_prefix.get(receiver, {}).values())
                     best = self.decide(receiver, candidates)
                     table = selected.setdefault(receiver, {})
-                    previous = table.get(prefix)
+                    previous = chosen_prefix.get(receiver)
+                    if best is previous:
+                        continue
                     if best is None:
-                        table.pop(prefix, None)
+                        del chosen_prefix[receiver], table[prefix]
                     else:
-                        table[prefix] = best
-                    if best is not previous and best != previous:
+                        chosen_prefix[receiver] = table[prefix] = best
+                    if best != previous:
                         changed.add(receiver)
                 if changed:
                     pending_exports[prefix] = changed
@@ -1037,13 +1080,10 @@ class BgpSimulation:
         # One key per prefix in a table, so a set loses nothing a
         # sorted tuple would keep.
         return tuple(
-            (name, frozenset(route.selection_key() for route in table.values()))
+            (name, frozenset(map(BgpRoute.selection_key, table.values())))
             for name, table in sorted(selected.items())
         )
 
     @staticmethod
     def _snapshot(selected: dict) -> dict:
-        return {
-            name: {prefix: route for prefix, route in table.items()}
-            for name, table in selected.items()
-        }
+        return {name: dict(table) for name, table in selected.items()}

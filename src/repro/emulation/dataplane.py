@@ -202,7 +202,7 @@ class Dataplane:
                 )
         # C-BGP-style abstract links: the next hop may be a direct
         # neighbour's loopback on an unnumbered segment.
-        if owner is not None and owner in self.network.neighbors_of(machine):
+        if owner is not None and owner in self.network.neighbor_set(machine):
             return ForwardingDecision(
                 action="forward", next_machine=owner, source="bgp", prefix=route.prefix
             )

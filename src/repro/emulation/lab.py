@@ -96,6 +96,8 @@ class EmulatedLab:
         self.source: Optional[str] = None
         #: The tree ``show running-config`` reads while :meth:`sharing_source` holds one.
         self.source_tree: Optional[LabTree] = None
+        #: What keeps ``source`` on disk while this lab or a fork lives.
+        self.source_keeper: Optional[object] = None
         #: machine name -> BootDiagnostic for devices excluded at boot.
         self.quarantined: dict[str, BootDiagnostic] = {}
         #: live fault state, applied on top of the parsed topology.
@@ -416,6 +418,7 @@ class EmulatedLab:
         )
         clone.source = self.source
         clone.source_tree = None
+        clone.source_keeper = self.source_keeper
         clone.quarantined = dict(self.quarantined)
         clone.disabled_machines = set(self.disabled_machines)
         clone.disabled_attachments = set(self.disabled_attachments)

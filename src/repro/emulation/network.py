@@ -15,6 +15,12 @@ from repro.emulation.intent import DeviceIntent, InterfaceIntent, LabIntent
 from repro.exceptions import EmulationError
 
 
+def address_key(address):
+    """An address as a dict key that hashes natively: its integer for
+    IPv4, the address itself for IPv6, so the families never share a key."""
+    return int(address) if isinstance(address, ipaddress.IPv4Address) else address
+
+
 class Segment:
     """One layer-2 segment: the interfaces attached to it."""
 
@@ -77,8 +83,11 @@ class EmulatedNetwork:
         if not self.machines:
             raise EmulationError("lab has no machines to boot")
         self.segments: dict[str, Segment] = {}
-        self._address_map: dict[ipaddress.IPv4Address, tuple[str, InterfaceIntent]] = {}
+        #: address_key(address) -> owning machine.
+        self._owners: dict = {}
         self._segments_of: dict[str, list[Segment]] = {name: [] for name in self.machines}
+        #: machine -> frozenset of its fabric neighbours, filled on first ask.
+        self._neighbor_sets: dict[str, frozenset] = {}
         self._build()
 
     @staticmethod
@@ -102,13 +111,14 @@ class EmulatedNetwork:
                     if key is not None and (name, key) in self.disabled_attachments:
                         continue  # failed link end: interface is down
                 if interface.ip_address is not None:
-                    existing = self._address_map.get(interface.ip_address)
+                    owner_key = address_key(interface.ip_address)
+                    existing = self._owners.get(owner_key)
                     if existing is not None and not interface.is_loopback:
                         raise EmulationError(
                             "duplicate address %s on %s and %s"
-                            % (interface.ip_address, existing[0], name)
+                            % (interface.ip_address, existing, name)
                         )
-                    self._address_map[interface.ip_address] = (name, interface)
+                    self._owners[owner_key] = name
                 if interface.is_loopback or key is None:
                     continue
                 segment = self.segments.setdefault(key, Segment(key))
@@ -152,8 +162,7 @@ class EmulatedNetwork:
             address, (ipaddress.IPv4Address, ipaddress.IPv6Address)
         ):
             address = ipaddress.ip_address(str(address))
-        entry = self._address_map.get(address)
-        return entry[0] if entry else None
+        return self._owners.get(address_key(address))
 
     def segments_of(self, machine: str) -> list[Segment]:
         return list(self._segments_of.get(machine, []))
@@ -164,6 +173,13 @@ class EmulatedNetwork:
             for name in segment.machines():
                 if name != machine and name not in found:
                     found.append(name)
+        return found
+
+    def neighbor_set(self, machine: str) -> frozenset:
+        """``neighbors_of`` as a set, built once per machine and fabric."""
+        found = self._neighbor_sets.get(machine)
+        if found is None:
+            found = self._neighbor_sets[machine] = frozenset(self.neighbors_of(machine))
         return found
 
     def shared_segments(self, left: str, right: str) -> list[Segment]:

@@ -33,7 +33,9 @@ other router's SPF and routing table untouched.  The oracle this is
 checked against is a fresh :class:`IgpState` built on the post-change
 network: the differential tests (``tests/emulation/control_plane_oracle.py``
 and ``tests/property/test_fast_path_differential.py``) assert identical
-RIBs under random fault schedules.
+RIBs under random fault schedules.  Each adjacency build names every
+advertised prefix by a small integer; a table is computed over those
+and builds an ``IgpRoute`` only for each prefix's winner.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import ipaddress
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.emulation.network import EmulatedNetwork
+from repro.emulation.network import EmulatedNetwork, address_key
 from repro.observability import metric_inc
 
 BACKBONE = 0
@@ -241,15 +243,24 @@ class IgpState:
             }
             for area, machines in adjacency.items()
         }
+        #: prefix -> a small integer naming it for this adjacency build.
+        ids: dict = {}
+        #: machine -> (prefix, its id) per prefix the machine advertises.
+        self._advertised: dict[str, list[tuple]] = {}
         for name, device in self.network.machines.items():
+            advertised = self.advertised_prefixes(device)
+            self._advertised[name] = [
+                (prefix, ids.setdefault(prefix, len(ids))) for prefix, _ in advertised
+            ]
             areas = {
                 area
                 for area, machines in self.area_adjacency.items()
                 if name in machines
             }
-            areas.update(area for _, area in self.advertised_prefixes(device))
+            areas.update(area for _, area in advertised)
             if areas:
                 self.machine_areas[name] = areas
+        self._prefix_ids = ids
         self._component = self._components()
 
     def _components(self) -> dict[str, tuple[str, ...]]:
@@ -530,9 +541,11 @@ class IgpState:
         )
 
     def _compute_routes(self, source: str) -> dict[ipaddress.IPv4Network, IgpRoute]:
-        connected = set(self.network.connected_networks(source))
-        table: dict[ipaddress.IPv4Network, IgpRoute] = {}
-        machines = self.network.machines
+        ids = self._prefix_ids
+        connected = {ids.get(net) for net in self.network.connected_networks(source)}
+        # prefix id -> (metric, advertiser, next hop, route type, prefix)
+        # of the best entry so far; an IgpRoute is built per winner only.
+        best: dict[int, tuple] = {}
         # Only the source's own IGP domain can hold a path; its members
         # come in fabric order, which fixes the table's prefix order.
         for machine in self._component.get(source, ()):
@@ -546,43 +559,37 @@ class IgpState:
             )
             if next_hop is None:
                 continue
-            for prefix, _ in self.advertised_prefixes(machines[machine]):
-                if prefix in connected:
+            for prefix, key in self._advertised[machine]:
+                if key in connected:
                     continue
-                route = IgpRoute(
-                    prefix=prefix,
-                    next_hop=next_hop,
-                    metric=metric,
-                    advertiser=machine,
-                    route_type=route_type,
-                )
-                existing = table.get(prefix)
+                existing = best.get(key)
                 if (
                     existing is None
-                    or route.metric < existing.metric
-                    or (
-                        route.metric == existing.metric
-                        and route.advertiser < existing.advertiser
-                    )
+                    or metric < existing[0]
+                    or (metric == existing[0] and machine < existing[1])
                 ):
-                    table[prefix] = route
-        return table
+                    best[key] = (metric, machine, next_hop, route_type, prefix)
+        return {
+            prefix: IgpRoute(prefix, next_hop, metric, advertiser, route_type)
+            for metric, advertiser, next_hop, route_type, prefix in best.values()
+        }
 
     def cost_to_address(self, source: str, address) -> Optional[int]:
         """IGP cost from ``source`` to an address, 0 when connected.
 
         The BGP decision process uses this as the "lowest IGP metric to
         the next hop" step; ``None`` means the next hop is unresolvable
-        and the route is invalid.  Answers are memoised per source and
-        dropped exactly when that source's route table is invalidated,
-        so repeated resolutions across reconvergence cycles are O(1)
-        for every machine the topology delta did not touch.  What a
-        lookup matches against — the source's own addresses, its
-        connected subnets and its route table — is rendered down to
-        integer masks once per source (the route table only when a
-        lookup gets that far), so a miss is shift-and-compare: the
-        decision process resolves thousands of next hops against the
-        same source during one reconvergence.
+        and the route is invalid.  Answers are memoised per source, by
+        ``address_key``, and dropped exactly when that source's route
+        table is invalidated, so repeated resolutions across
+        reconvergence cycles are O(1) for every machine the topology
+        delta did not touch.  What a lookup matches against — the
+        source's own addresses, its connected subnets and its route
+        table — is rendered down to integer masks once per source (the
+        route table only when a lookup gets that far), so a miss is a
+        shift and one dict probe per prefix length: the decision process
+        resolves thousands of next hops against the same source during
+        one reconvergence.
         """
         if not isinstance(
             address, (ipaddress.IPv4Address, ipaddress.IPv6Address)
@@ -593,8 +600,9 @@ class IgpState:
             view = self._address_views[source] = _AddressView(
                 self.network.device(source)
             )
+        key = address_key(address)
         try:
-            return view.memo[address]
+            return view.memo[key]
         except KeyError:
             pass
         addr_int = int(address)
@@ -607,15 +615,15 @@ class IgpState:
             best = 0
         else:
             if view.routes is None:
-                view.routes = [
-                    _mask(prefix) + (route.metric,)
-                    for prefix, route in self.routes(source).items()
-                ]
-            for route_version, shift, net, metric in view.routes:
-                if route_version == version and (addr_int >> shift) == net:
-                    if best is None or metric < best:
-                        best = metric
-        view.memo[address] = best
+                view.routes = {}
+                for prefix, route in self.routes(source).items():
+                    route_version, shift, net = _mask(prefix)
+                    view.routes.setdefault((route_version, shift), {})[net] = route.metric
+            for (route_version, shift), metrics in view.routes.items():
+                metric = metrics.get(addr_int >> shift) if route_version == version else None
+                if metric is not None and (best is None or metric < best):
+                    best = metric
+        view.memo[key] = best
         return best
 
 
@@ -632,7 +640,7 @@ class _AddressView:
     __slots__ = ("memo", "local", "routes")
 
     def __init__(self, device):
-        #: address -> cost, the answers given so far.
+        #: address_key(address) -> cost, the answers given so far.
         self.memo: dict = {}
         #: Masks of the zero-cost destinations: the device's connected
         #: subnets (its own addresses lie inside them) and any address
@@ -646,5 +654,6 @@ class _AddressView:
             elif interface.ip_address is not None:
                 address = interface.ip_address
                 self.local.append((address.version, 0, int(address)))
-        #: The route table as (mask..., metric), rendered on first use.
-        self.routes: Optional[list] = None
+        #: The route table as (version, shift) -> network >> shift ->
+        #: metric, rendered on first use.
+        self.routes: Optional[dict] = None

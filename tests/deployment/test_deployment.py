@@ -1,5 +1,6 @@
 """Unit tests for deployment: archive, host, monitor, full flow (§5.7)."""
 
+import gc
 import os
 import shutil
 import tarfile
@@ -153,6 +154,30 @@ class TestFullDeployFlow:
             if entry.startswith("lab_archive_")
         ]
         assert strays == []
+
+    def test_a_host_deploy_makes_lives_as_long_as_its_labs(
+        self, si_render, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        record = deploy(si_render.lab_dir)
+        work_dir = record.host.work_dir
+        assert os.path.dirname(work_dir) == str(tmp_path)
+        fork = record.lab.fork()
+        record = None
+        gc.collect()
+        # the fork still boots from, and reads, the received archive
+        assert os.listdir(work_dir) == ["lab.tar.gz"]
+        assert "router bgp" in fork.run("as1r1", "show running-config")
+        fork = None
+        gc.collect()
+        assert not os.path.exists(work_dir)
+
+    def test_a_passed_in_host_keeps_its_dir(self, si_render, tmp_path):
+        host = LocalEmulationHost(str(tmp_path / "host"))
+        deploy(si_render.lab_dir, host=host)
+        host = None
+        gc.collect()
+        assert os.listdir(tmp_path / "host") == ["lab.tar.gz"]
 
 
 class TestLogging:

@@ -56,11 +56,16 @@ def _link(lab: LabIntent, index: int, left: str, right: str) -> tuple:
     return subnet, addresses[0], addresses[1]
 
 
-def core_lab(n_core: int, vendors=None, domain_of=None, platform="netkit") -> LabIntent:
+def core_lab(
+    n_core: int, vendors=None, domain_of=None, platform="netkit", ring=False
+) -> LabIntent:
     """``n_core`` routers of one AS on an OSPF chain, no sessions yet.
 
     ``domain_of(index)`` splits the chain: consecutive routers are only
     linked when it maps them to the same value (disjoint IGP domains).
+    ``ring`` closes the chain with link ``n_core - 1`` from the last
+    router to the first; in an odd ring some router sees both ends of
+    the opposite link at the same cost.
     """
     lab = LabIntent(platform=platform)
     for index in range(n_core):
@@ -81,11 +86,12 @@ def core_lab(n_core: int, vendors=None, domain_of=None, platform="netkit") -> La
             asn=CORE_ASN, router_id=str(loopback(index)), networks=[core_prefix(index)]
         )
         lab.devices[name] = device
-    for index in range(n_core - 1):
-        if domain_of is not None and domain_of(index) != domain_of(index + 1):
+    for index in range(n_core if ring else n_core - 1):
+        ends = (index, (index + 1) % n_core)
+        if domain_of is not None and domain_of(ends[0]) != domain_of(ends[1]):
             continue
-        subnet, _, _ = _link(lab, index, core_name(index), core_name(index + 1))
-        for end in (index, index + 1):
+        subnet, _, _ = _link(lab, index, *map(core_name, ends))
+        for end in ends:
             lab.devices[core_name(end)].ospf.networks.append((subnet, 0))
     return lab
 
@@ -126,25 +132,101 @@ def add_external(
     prefixes=None,
 ) -> str:
     """External AS ``65100 + index``: one router on a /30 to a core router."""
-    name = "x%02d" % index
-    asn = 65100 + index
-    device = DeviceIntent(name=name, vendor="quagga")
-    device.bgp = BgpIntent(
-        asn=asn,
-        router_id="192.0.2.%d" % (index + 1),
-        networks=list(prefixes or [external_prefix(index)]),
-    )
-    lab.devices[name] = device
+    device = _external_device(lab, index, "quagga")
+    if prefixes:
+        device.bgp.networks = list(prefixes)
+    home_external(lab, device.name, attach_to, link_index, core_flags, external_flags, in_igp)
+    return device.name
+
+
+def home_external(
+    lab: LabIntent,
+    name: str,
+    attach_to: int,
+    link_index: int,
+    core_flags: dict | None = None,
+    external_flags: dict | None = None,
+    in_igp: bool = False,
+    peer_loopback: bool = False,
+) -> None:
+    """Link external router ``name`` to a core router over a /30 (segment
+    ``cd<link_index>``) and peer across it.  With
+    ``peer_loopback`` the external side peers with the core router's
+    loopback, so the session outlives the core end of the link."""
     core = core_name(attach_to)
     subnet, core_address, external_address = _link(lab, link_index, core, name)
     if in_igp:
         lab.devices[core].ospf.networks.append((subnet, 0))
     lab.devices[core].bgp.neighbors.append(
-        BgpNeighborIntent(peer_ip=external_address, remote_asn=asn, **(core_flags or {}))
-    )
-    device.bgp.neighbors.append(
         BgpNeighborIntent(
-            peer_ip=core_address, remote_asn=CORE_ASN, **(external_flags or {})
+            peer_ip=external_address,
+            remote_asn=lab.devices[name].bgp.asn,
+            **(core_flags or {}),
         )
     )
-    return name
+    lab.devices[name].bgp.neighbors.append(
+        BgpNeighborIntent(
+            peer_ip=loopback(attach_to) if peer_loopback else core_address,
+            remote_asn=CORE_ASN,
+            **(external_flags or {}),
+        )
+    )
+
+
+def _peer_pair(lab: LabIntent, name: str, other: str, address, other_address) -> None:
+    """eBGP between ``name`` at ``address`` and ``other`` at ``other_address``."""
+    for local, remote, peer_ip in ((other, name, address), (name, other, other_address)):
+        lab.devices[local].bgp.neighbors.append(
+            BgpNeighborIntent(peer_ip=peer_ip, remote_asn=lab.devices[remote].bgp.asn)
+        )
+
+
+def _external_device(lab: LabIntent, index: int, vendor: str) -> DeviceIntent:
+    name = "x%02d" % index
+    device = lab.devices[name] = DeviceIntent(name=name, vendor=vendor)
+    device.bgp = BgpIntent(
+        asn=65100 + index,
+        router_id="192.0.2.%d" % (index + 1),
+        networks=[external_prefix(index)],
+    )
+    return device
+
+
+def add_unnumbered_external(lab: LabIntent, index: int, attach_to: int) -> str:
+    """A C-BGP style external router: a loopback, an unnumbered link to a
+    core router (no addresses on it), and a loopback-to-loopback
+    session whose next hops resolve only as direct fabric neighbours."""
+    device = _external_device(lab, index, "cbgp")
+    address = ipaddress.ip_address("10.254.0.%d" % (index + 1))
+    device.interfaces.append(
+        InterfaceIntent(name="lo", ip_address=address, prefixlen=32, is_loopback=True)
+    )
+    core = core_name(attach_to)
+    key = "unnumbered%d" % index
+    for member in (lab.devices[core], device):
+        member.interfaces.append(
+            InterfaceIntent(name="eth%d" % len(member.interfaces), collision_domain=key)
+        )
+    _peer_pair(lab, device.name, core, address, loopback(attach_to))
+    return key
+
+
+def add_ipv6_external(lab: LabIntent, index: int, attach_to: str, shadows: tuple) -> str:
+    """An external router on an IPv6 /126 to router ``attach_to`` (one
+    that runs no IGP), peering across it, whose two addresses (its own
+    first) have the integer values of the IPv4 addresses ``shadows``:
+    an address key that forgets the family collides."""
+    device = _external_device(lab, index, "quagga")
+    key = "v6link%d" % index
+    addresses = [ipaddress.IPv6Address(int(address)) for address in shadows]
+    for member, address in zip((device, lab.devices[attach_to]), addresses):
+        member.interfaces.append(
+            InterfaceIntent(
+                name="eth%d" % len(member.interfaces),
+                ip_address=address,
+                prefixlen=126,
+                collision_domain=key,
+            )
+        )
+    _peer_pair(lab, device.name, attach_to, addresses[0], addresses[1])
+    return key
