@@ -7,6 +7,8 @@ through the existing build/deploy/emulation stack:
   sharing **one** :class:`~repro.engine.ArtifactCache`, so trials that
   differ only in scenario (fault schedule, round budget) reuse each
   other's compiled/rendered artifacts;
+* a trial on the last ``ok`` trial's base (equal input graph, platform,
+  rules and cache) re-renders its engine and may boot its parsed intent;
 * ``jobs`` alone picks how trials run: inline at ``jobs=1``, over one
   process pool above; pool workers share the cache through its on-disk
   store;
@@ -59,7 +61,9 @@ import os
 import time
 from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import networkx as nx
 
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import (
@@ -240,6 +244,8 @@ class CampaignRunner:
         #: builds stop trusting the artifact cache once corruption repeats
         self.cache_bypass = False
         self._cache_corrupt_seen = 0
+        #: the base inline trials reuse (a pool worker holds its own)
+        self.slot = _BaseSlot()
 
     # -- planning ------------------------------------------------------------
     def pending_trials(self) -> tuple[list[TrialSpec], list[TrialSpec]]:
@@ -372,7 +378,7 @@ class CampaignRunner:
         """
         pool = None
         if self.jobs > 1 and to_run:
-            pool = futures.ProcessPoolExecutor(max_workers=self.jobs)
+            pool = futures.ProcessPoolExecutor(self.jobs, initializer=_install_slot)
         queue = list(to_run)
         try:
             while queue:
@@ -388,9 +394,8 @@ class CampaignRunner:
                         pool = None
                         self._degrade(result)
                 for trial in chunk:
-                    self._record(
-                        trial, _execute_trial(self._payload(trial), self.cache), result
-                    )
+                    record = _execute_trial(self._payload(trial), self.cache, self.slot)
+                    self._record(trial, record, result)
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -611,13 +616,42 @@ def run_campaign(
 
 
 # -- trial execution (inline, or in a pool worker process) -------------------
-def _execute_trial(payload: dict, cache=None) -> dict:
+class _Base(NamedTuple):
+    """A trial base: engine, input graph copy, and intent parsed from a render."""
+
+    key: tuple  # (platform, rules, cache bypass, cache directory)
+    graph: nx.Graph
+    engine: object
+    intent: object = None
+    artifact_keys: Optional[dict] = None  # owner -> key of the render parsed
+
+
+@dataclass
+class _BaseSlot:
+    """At most one base: trials expand base-outermost, so one catches every reuse."""
+
+    base: Optional[_Base] = None
+
+
+_WORKER_SLOT: Optional[_BaseSlot] = None
+
+
+def _install_slot() -> None:
+    """Runs once per pool worker process: the worker's own base slot."""
+    global _WORKER_SLOT
+    _WORKER_SLOT = _BaseSlot()
+
+
+def _execute_trial(payload: dict, cache=None, slot: _BaseSlot | None = None) -> dict:
     """Run one trial end to end; always returns a plain record dict.
 
     ``cache`` is the runner's own cache when the trial runs inline; a
     pool worker opens the same directory (``payload["cache_dir"]``).
     Either way ``engine.cache`` in the record holds the hits and misses
     this trial added to the cache it built against.
+
+    ``slot`` (a pool worker's own by default) gets its base back only from
+    an ``ok`` trial: a timed-out trial's abandoned thread may hold the engine.
 
     Every exception except ``KeyboardInterrupt``/``SystemExit``/
     ``TerminationRequested`` is quarantined into the record — a
@@ -633,6 +667,8 @@ def _execute_trial(payload: dict, cache=None) -> dict:
     run_dir = payload["run_dir"]
     if cache is None:
         cache = ArtifactCache(payload["cache_dir"])
+    slot = slot or _WORKER_SLOT or _BaseSlot()
+    held, slot.base = {"base": slot.base}, None  # lent to this trial
     hits_before, misses_before = cache.hits, cache.misses
     os.makedirs(run_dir, exist_ok=True)
 
@@ -668,9 +704,9 @@ def _execute_trial(payload: dict, cache=None) -> dict:
         ) as trial_span:
             if profiler is not None:
                 with profiler:
-                    _trial_body(payload, trial, cache, telemetry, record)
+                    _trial_body(payload, trial, cache, telemetry, record, held)
             else:
-                _trial_body(payload, trial, cache, telemetry, record)
+                _trial_body(payload, trial, cache, telemetry, record, held)
         return trial_span
 
     deadline = payload.get("trial_deadline_s")
@@ -703,6 +739,8 @@ def _execute_trial(payload: dict, cache=None) -> dict:
         record["status"] = STATUS_FAILED
         record["error"] = "%s: %s" % (type(error).__name__, error)
     record["duration_seconds"] = time.perf_counter() - started
+    if record["status"] == STATUS_OK:
+        slot.base = held.get("base")
     record["engine"]["cache"] = {
         "hits": cache.hits - hits_before,
         "misses": cache.misses - misses_before,
@@ -745,7 +783,7 @@ def _write_trial_profile(profiler, telemetry, run_dir: str) -> dict:
     }
 
 
-def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> None:
+def _trial_body(payload: dict, trial: dict, cache, telemetry, record, held) -> None:
     from contextlib import nullcontext
 
     from repro.emulation import EmulatedLab, reachability_summary
@@ -753,6 +791,7 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
     from repro.loader import BUILTIN_TOPOLOGIES, builtin_topology
     from repro.resilience import FaultSchedule, apply_schedule
     from repro.supervision import checkpoint, current_budget
+    from repro.workflow import load_topology
 
     overrides = trial.get("overrides") or {}
     policy = payload.get("retry_policy") or NO_RETRY
@@ -769,18 +808,21 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
         checkpoint("trial.build")
         _maybe_inject(overrides, "build")
         _maybe_hang(overrides, "build")
-        engine = BuildEngine(
-            platform=trial["platform"],
-            rules=tuple(trial["rules"]),
-            cache=cache,
-            use_cache=not payload.get("cache_bypass", False),
-        )
+        graph = load_topology(source)
+        bypass = bool(payload.get("cache_bypass", False))
+        key = (trial["platform"], tuple(trial["rules"]), bypass, payload["cache_dir"])
+        base = held.pop("base", None)
+        reused = bool(base) and base.key == key and nx.utils.graphs_equal(graph, base.graph)
+        if not reused:
+            engine = BuildEngine(trial["platform"], key[1], cache=cache, use_cache=not bypass)
+            base = _Base(key, graph.copy(), engine)
+        elif not bypass:
+            base.engine.cache = cache  # where this trial counts its lookups
+        engine = base.engine
+        rendered = os.path.join(payload["run_dir"], "rendered")
         report = retry_call(
-            lambda: engine.build(
-                source,
-                output_dir=os.path.join(payload["run_dir"], "rendered"),
-                telemetry=telemetry,
-            ),
+            lambda: engine.render(rendered, telemetry=telemetry) if reused
+            else engine.build(graph, output_dir=rendered, telemetry=telemetry),
             policy=policy,
             operation="campaign.build",
         )
@@ -789,9 +831,12 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
             "cache_misses": report.cache_misses,
             "rendered_devices": len(report.rendered_devices),
             "cached_devices": len(report.cached_devices),
+            "base_reused": reused,
         }
-        if payload.get("cache_bypass"):
+        if bypass:
             record["engine"]["cache_bypassed"] = True
+        keys = {owner: artifact.key for owner, artifact in engine.artifacts.items()}
+        held["base"] = base
 
     if not overrides.get("deploy", True):
         return
@@ -801,15 +846,14 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
         _maybe_hang(overrides, "deploy")
         max_rounds = int(overrides.get("max_rounds", 64))
         with telemetry.span("deploy", trial=payload["trial_id"]):
-            lab = retry_call(
-                lambda: EmulatedLab.boot(
-                    engine.lab_dir,
-                    max_rounds=max_rounds,
-                    strict=False,
-                ),
-                policy=policy,
-                operation="campaign.deploy",
-            )
+            def boot():
+                if bypass or keys != base.artifact_keys:
+                    return EmulatedLab.boot(engine.lab_dir, max_rounds=max_rounds, strict=False)
+                lab = EmulatedLab(base.intent, max_rounds=max_rounds, strict=False)
+                lab.source = engine.lab_dir  # a tree the kept intent was parsed from
+                return lab
+            lab = retry_call(boot, policy=policy, operation="campaign.deploy")
+            held["base"] = base._replace(intent=lab.intent, artifact_keys=keys)
     if trial.get("delta"):
         # Rolling-change trial: the lab booted the *base* design; the
         # delta is diffed from the rendered trees and applied live (one
@@ -824,12 +868,12 @@ def _trial_body(payload: dict, trial: dict, cache, telemetry, record: dict) -> N
             parse_edits,
             verify_equivalence,
         )
-        from repro.workflow import load_topology, run_experiment
+        from repro.workflow import run_experiment
 
         with phase_scope("liveupdate"):
             checkpoint("trial.liveupdate")
             edits = parse_edits(trial["delta"])
-            edited = apply_edits(load_topology(source), edits)
+            edited = apply_edits(graph, edits)
             target = run_experiment(
                 edited,
                 platform=trial["platform"],

@@ -68,7 +68,8 @@ class OspfIntent:
     interface_costs: dict[str, int] = field(default_factory=dict)
 
     def advertises(self, network: ipaddress.IPv4Network) -> bool:
-        return any(network == advertised or advertised.supernet_of(network)
+        return any(network == advertised or (advertised.version == network.version
+                                             and advertised.supernet_of(network))
                    for advertised, _ in self.networks)
 
 

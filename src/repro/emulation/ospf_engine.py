@@ -304,7 +304,8 @@ class IgpState:
                 # C-BGP style unnumbered link: active when in a domain.
                 return BACKBONE if device.igp_domain is not None else None
             for advertised, area in device.ospf.networks:
-                if network == advertised or advertised.supernet_of(network):
+                if network == advertised or (advertised.version == network.version
+                                             and advertised.supernet_of(network)):
                     return area
             return None
         if device.isis is not None:

@@ -2,9 +2,10 @@
 
 :class:`BuildEngine` runs the compile→render half of the pipeline as one
 straight line — ``load_build → compile → render`` — with one telemetry
-span per phase.  Render restores cache hits in the parent, renders the
-misses inline (``jobs=1``) or over one process pool (``jobs>1``), and
-writes the topology files (``lab.conf``, ...) last.
+span per phase; :meth:`BuildEngine.render` runs the last one alone.
+Render restores cache hits in the parent, renders the misses inline
+(``jobs=1``) or over one process pool (``jobs>1``), and writes the
+topology files (``lab.conf``, ...) last.
 
 Each device's render is keyed by a stable content hash of its compiled
 NIDB subtree plus the source of every template it references
@@ -193,7 +194,7 @@ class BuildEngine:
         self.fingerprints: dict[str, str] = {}
         self.artifacts: dict[str, Artifact] = {}
         self.render_result: Optional[RenderResult] = None
-        self._hasher = TemplateHasher()  # replaced at the start of each build
+        self._hasher = TemplateHasher()  # replaced at the start of each render
         self._manifest_name: Optional[str] = None
 
     # -- properties ---------------------------------------------------------
@@ -224,17 +225,29 @@ class BuildEngine:
         if self.output_dir is None:
             self.output_dir = tempfile.mkdtemp(prefix="rendered_")
         self._manifest_name = manifest_name
-        self._hasher = TemplateHasher()
         previous_manifest = self.load_manifest() if prune_stale else None
         report = self._new_report("full")
         with telemetry.activate():
             compiled = self._phase(
                 report, "load_build", lambda: self._load(source)
             ) and self._phase(report, "compile", self._compile)
-            if compiled:
-                self._render(report)
+        if compiled:
+            report = self.render(self.output_dir, telemetry)
         if previous_manifest is not None:
             report.removed_devices = self._prune_stale(previous_manifest)
+        return report
+
+    def render(self, output_dir, telemetry: Telemetry | None = None) -> BuildReport:
+        """The render phase of :meth:`build` on its own: render the compiled
+        state this engine holds into ``output_dir``, with no design or compile."""
+        if self.nidb is None:
+            raise EngineError("render requires a completed build() on this engine")
+        telemetry = telemetry or current_telemetry() or Telemetry()
+        self.output_dir = str(output_dir)
+        self._hasher = TemplateHasher()
+        report = self._new_report("full")
+        with telemetry.activate():
+            self._render(report)
         return report
 
     # -- incremental build --------------------------------------------------

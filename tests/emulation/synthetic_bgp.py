@@ -212,8 +212,8 @@ def add_unnumbered_external(lab: LabIntent, index: int, attach_to: int) -> str:
 
 
 def add_ipv6_external(lab: LabIntent, index: int, attach_to: str, shadows: tuple) -> str:
-    """An external router on an IPv6 /126 to router ``attach_to`` (one
-    that runs no IGP), peering across it, whose two addresses (its own
+    """An external router on an IPv6 /126 to router ``attach_to`` (with
+    or without an IGP), peering across it, whose two addresses (its own
     first) have the integer values of the IPv4 addresses ``shadows``:
     an address key that forgets the family collides."""
     device = _external_device(lab, index, "quagga")

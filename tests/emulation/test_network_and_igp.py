@@ -193,3 +193,37 @@ class TestIgpEngine:
         route_two = igp_two.routes("a")[ipaddress.ip_network("192.168.0.4/32")]
         assert route_one.next_hop == route_two.next_hop
         assert igp_one.distance("a", "d") == 2
+
+
+def test_an_ospf_router_with_an_ipv6_interface_boots_and_converges():
+    # x02 peers over an IPv6 /126 with c00, which runs OSPF on its IPv4
+    # links: the IGP skips the IPv6 interface instead of comparing it
+    # with the IPv4 ``network`` statements.
+    from repro.emulation import EmulatedLab
+
+    from tests.emulation.synthetic_bgp import (
+        add_ipv6_external,
+        core_lab,
+        core_name,
+        external_prefix,
+    )
+
+    intent = core_lab(3)
+    shadows = [ipaddress.ip_address("10.0.9.1"), ipaddress.ip_address("10.0.9.2")]
+    add_ipv6_external(intent, 2, core_name(0), shadows)
+    ipv6_network = next(
+        interface.network
+        for interface in intent.devices[core_name(0)].interfaces
+        if interface.collision_domain == "v6link2"
+    )
+    assert ipv6_network.version == 6
+    assert not intent.devices[core_name(0)].ospf.advertises(ipv6_network)
+
+    lab = EmulatedLab(intent)
+    assert lab.converged
+    assert "v6link2" not in {
+        interface.collision_domain
+        for interface in intent.devices[core_name(0)].interfaces
+        if IgpState._advertised_area(intent.devices[core_name(0)], interface) is not None
+    }
+    assert external_prefix(2) in lab.bgp_result.selected[core_name(0)]

@@ -9,6 +9,7 @@ designed and measured sets as the collect-everything loop it replaced
 
 import dataclasses
 import re
+import threading
 import weakref
 
 import networkx as nx
@@ -24,7 +25,7 @@ from repro.measurement import (
 from repro.measurement import client as client_module
 from repro.measurement.mapping import IpMapper
 from repro.observability import Telemetry
-from repro.resilience import RetryPolicy, inject_sleepy_vm
+from repro.resilience import RetryPolicy
 
 BOUNDED = RetryPolicy(max_attempts=1, base_delay=0.0, deadline=0.3)
 LABS = ["small_internet", "fig5", "rpki"]
@@ -94,9 +95,33 @@ def _untimed(result):
     return dataclasses.replace(result, error=error)
 
 
-def _fan_out(si_render, si_nidb, collect):
+class HeldVM:
+    """A VM whose ``run`` blocks until the test releases it.
+
+    ``BOUNDED``'s deadline gives up on it; the test waits until the call
+    has started, so ``retry.attempts`` has counted it, and releases it
+    only after both counter snapshots are taken, so no late increment of
+    the abandoned call lands in either: the counts need no wall-clock.
+    """
+
+    def __init__(self, vm):
+        self._vm = vm
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def run(self, command: str) -> str:
+        self.started.set()
+        self.release.wait()
+        return self._vm.run(command)
+
+    def __getattr__(self, name):
+        return getattr(self._vm, name)
+
+
+def _fan_out(si_render, si_nidb, collect, held: list):
     lab = EmulatedLab.boot(si_render.lab_dir)
-    inject_sleepy_vm(lab, "as100r1", sleep_s=2.0, hangs=1)
+    vm = lab._vms["as100r1"] = HeldVM(lab.vm("as100r1"))
+    held.append(vm)
     client = MeasurementClient(lab, si_nidb, retry_policy=BOUNDED)
     tap_ip = next(
         str(interface.ip_address)
@@ -107,15 +132,25 @@ def _fan_out(si_render, si_nidb, collect):
     telemetry = Telemetry()
     with telemetry.activate():
         results = collect(client, "show ip bgp summary", hosts)
+    assert vm.started.wait(timeout=30)
     return results, telemetry
 
 
-def test_send_is_the_collected_stream(si_render, si_nidb):
+@pytest.fixture
+def held():
+    """The fan-outs' held VMs, released once the test is done."""
+    vms = []
+    yield vms
+    for vm in vms:
+        vm.release.set()
+
+
+def test_send_is_the_collected_stream(si_render, si_nidb, held):
     sent, sent_telemetry = _fan_out(
-        si_render, si_nidb, lambda client, *args: client.send(*args).results
+        si_render, si_nidb, lambda client, *args: client.send(*args).results, held
     )
     streamed, streamed_telemetry = _fan_out(
-        si_render, si_nidb, lambda client, *args: list(client.iter_results(*args))
+        si_render, si_nidb, lambda client, *args: list(client.iter_results(*args)), held
     )
     assert [(result.reason, result.ok) for result in sent] == [
         ("timeout", False), ("", True), ("error", False), ("", True)
@@ -125,6 +160,7 @@ def test_send_is_the_collected_stream(si_render, si_nidb):
     ]
     counters = sent_telemetry.metrics.snapshot()["counters"]
     assert counters["measure.failures"] == 2
+    assert counters["retry.attempts"] == 3  # the held call, as100r2 and the tap address
     assert counters["measure.rows_parsed"] > 0
     assert streamed_telemetry.metrics.snapshot()["counters"] == counters
     assert _span_shape(streamed_telemetry) == _span_shape(sent_telemetry)

@@ -13,7 +13,8 @@ external AS homed on up to two core routers with MEDs (one home may
 peer with the core loopback, so its session outlives the core end of
 the link), a C-BGP unnumbered neighbour, and an IPv6 neighbour whose
 addresses have the integer values of two IPv4 link addresses the lab
-resolves as next hops.  After the cold run one link
+resolves as next hops, hung off the external AS or off an OSPF core
+router.  After the cold run one link
 (or one end of it) fails and the schedule resumes.  Three control
 planes must agree:
 
@@ -67,6 +68,7 @@ def build_case(
     ipv6=False,
     fault=(0, "both"),
     ring=False,
+    ipv6_at_core=False,
 ):
     """A lab and the attachments its fault takes down.
 
@@ -74,7 +76,9 @@ def build_case(
     next-hop-self, right next-hop-self)``; ``homes`` holds ``(core
     index, MED sent to it, link in the IGP)`` for external ``x00``;
     ``fault`` is ``(link number, "both" | "core" | "far")``; ``ring``
-    closes the core chain (odd rings tie IGP advertisers).
+    closes the core chain (odd rings tie IGP advertisers);
+    ``ipv6_at_core`` hangs the IPv6 neighbour off the first home's core
+    router, which runs OSPF, instead of off ``x00``.
     """
     n_core = len(vendors)
     lab = core_lab(n_core, vendors=dict(enumerate(vendors)), ring=ring)
@@ -121,14 +125,16 @@ def build_case(
         key = add_unnumbered_external(lab, 1, unnumbered)
         links.append((key, core_name(unnumbered), "x01"))
     if ipv6:
-        # x02 hangs off x00, its addresses shadowing x00's first home link.
+        # x02 hangs off x00 (or its first home), its addresses shadowing
+        # x00's first home link.
         shadows = [
             interface.ip_address
             for name in (core_name(homes[0][0]), "x00")
             for interface in lab.devices[name].interfaces
             if interface.collision_domain == "cd10"
         ]
-        links.append((add_ipv6_external(lab, 2, "x00", shadows), "x00", "x02"))
+        attach = core_name(homes[0][0]) if ipv6_at_core else "x00"
+        links.append((add_ipv6_external(lab, 2, attach, shadows), attach, "x02"))
     link, ends = fault
     key, core_end, far_end = links[link % len(links)]
     down = {
@@ -166,6 +172,7 @@ def cases(draw):
         ipv6=draw(st.booleans()),
         fault=(draw(st.integers(0, 20)), draw(st.sampled_from(["both", "core", "far"]))),
         ring=draw(st.booleans()),
+        ipv6_at_core=draw(st.booleans()),
     )
 
 
@@ -242,6 +249,14 @@ def _assert_steps_agree(simulation) -> None:
 @example(
     case=build_case(
         ["ios", "cbgp", "junos"], _FULL_MESH, [(1, 0, True)], unnumbered=0, ipv6=True, fault=(0, "both")
+    )
+)
+# x02 peers over IPv6 with c01, an OSPF router whose IPv4 link to x00
+# is in the IGP; the fault takes that link down at both ends.
+@example(
+    case=build_case(
+        ["quagga", "ios", "junos"], _FULL_MESH, [(1, 10, True)], ipv6=True,
+        fault=(2, "both"), ipv6_at_core=True,
     )
 )
 def test_engine_equals_its_oracles(case):
