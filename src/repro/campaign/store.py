@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.exceptions import CampaignError
-from repro.supervision import durable_append, durable_replace
+from repro.supervision import AppendLog, durable_replace
 
 INDEX_NAME = "index.jsonl"
 SPEC_NAME = "spec.json"
@@ -141,12 +140,11 @@ class ResultStore:
     def __init__(self, directory: str | os.PathLike):
         self.directory = str(directory)
         os.makedirs(os.path.join(self.directory, "trials"), exist_ok=True)
-        self._lock = threading.Lock()
-        #: torn (half-written) index lines skipped by the last read
+        self.log = AppendLog(self.index_path)
+        #: torn index lines skipped by the last read
         self.torn_lines = 0
-        # incremental read state (see poll_records): byte offset of the
-        # last fully consumed index line, the latest-record cache built
-        # from everything consumed so far, and the cost of the last poll
+        # poll_records state: the index offset consumed so far, the
+        # latest-record cache built from it, and the last poll's cost
         self._poll_offset = 0
         self._poll_latest: dict[str, TrialRecord] = {}
         self.last_poll_bytes = 0
@@ -171,32 +169,16 @@ class ResultStore:
         """Durably add one finished trial: a single appended JSON line
         (a torn tail left by a crash stays a separate, skippable line)."""
         record.finished_at = record.finished_at or time.time()
-        line = json.dumps(record.to_dict(), sort_keys=True, default=str)
-        with self._lock:
-            durable_append(self.index_path, line)
+        self.log.append(record.to_dict())
 
     def records(self) -> list[TrialRecord]:
-        """Every valid index record, in append order (duplicates kept)."""
-        self.torn_lines = 0
-        if not os.path.exists(self.index_path):
-            return []
-        found = []
-        with self._lock:
-            with open(self.index_path) as handle:
-                lines = handle.readlines()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                found.append(TrialRecord.from_dict(json.loads(line)))
-            except ValueError:
-                # a torn final line from an interrupted run is expected;
-                # it is counted for forensics and that trial simply
-                # re-executes on resume
-                self.torn_lines += 1
-                continue
-        return found
+        """Every valid index record, in append order (duplicates kept).
+
+        A torn line is counted in ``torn_lines``; its trial re-executes
+        on resume.
+        """
+        entries, _, self.torn_lines = self.log.read()
+        return [TrialRecord.from_dict(entry) for entry in entries]
 
     def latest(self) -> dict[str, TrialRecord]:
         """Last record per spec hash — the store's authoritative view."""
@@ -211,46 +193,20 @@ class ResultStore:
 
         Reads from the byte offset where the previous poll stopped, so
         repeated polling (the service tailer, ``status`` loops) costs
-        the appended delta, not the whole history.  Only lines
-        terminated by a newline are consumed: a torn *trailing* line
-        (an append cut off mid-write) stays pending until its writer —
-        or crash recovery — completes or supersedes it.  A terminated
-        but unparseable line is skipped and counted in ``torn_lines``
-        (cumulative across polls, unlike :meth:`records` which resets).
-        ``last_poll_bytes`` records what the poll actually read.
+        the appended delta, not the whole history.  It is an
+        :class:`~repro.supervision.AppendLog` tail read: an unterminated
+        trailing line stays pending, and ``torn_lines`` accumulates
+        across polls (:meth:`records` resets it).  ``last_poll_bytes``
+        is what the poll consumed.
         """
-        self.last_poll_bytes = 0
-        new_records: list[TrialRecord] = []
-        with self._lock:
-            try:
-                handle = open(self.index_path, "rb")
-            except FileNotFoundError:
-                return []
-            with handle:
-                size = os.fstat(handle.fileno()).st_size
-                if size < self._poll_offset:
-                    # the index shrank (a fresh store in a reused
-                    # directory): start over from the top
-                    self._poll_offset = 0
-                    self._poll_latest = {}
-                handle.seek(self._poll_offset)
-                chunk = handle.read()
-            self.last_poll_bytes = len(chunk)
-            consumed = chunk.rfind(b"\n") + 1
-            if not consumed:
-                return []
-            for line in chunk[:consumed].splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = TrialRecord.from_dict(json.loads(line.decode()))
-                except (ValueError, UnicodeDecodeError):
-                    self.torn_lines += 1
-                    continue
-                new_records.append(record)
-                self._poll_latest[record.spec_hash] = record
-            self._poll_offset += consumed
+        entries, end, torn = self.log.read(self._poll_offset, tail=True)
+        if end < self._poll_offset:  # a fresh index in a reused directory
+            self._poll_offset, self._poll_latest = 0, {}
+        self.last_poll_bytes, self._poll_offset = end - self._poll_offset, end
+        self.torn_lines += torn
+        new_records = [TrialRecord.from_dict(entry) for entry in entries]
+        for record in new_records:
+            self._poll_latest[record.spec_hash] = record
         return new_records
 
     def latest_view(self) -> dict[str, TrialRecord]:
@@ -390,7 +346,8 @@ def load_records(source: str | os.PathLike | Iterable[TrialRecord]) -> list[Tria
             path = os.path.join(path, INDEX_NAME)
         if not os.path.exists(path):
             raise CampaignError("no campaign index at %s" % path)
-        records = ResultStoreReader(path).records()
+        entries = AppendLog(path).read()[0]
+        records = [TrialRecord.from_dict(entry) for entry in entries]
     else:
         records = list(source)
     latest: dict[str, TrialRecord] = {}
@@ -405,25 +362,3 @@ def load_records(source: str | os.PathLike | Iterable[TrialRecord]) -> list[Tria
         ordered.append(latest[record.spec_hash])
     return ordered
 
-
-class ResultStoreReader:
-    """Read-only index access for stores we did not create (baselines)."""
-
-    def __init__(self, index_path: str):
-        self.index_path = index_path
-        self.torn_lines = 0
-
-    def records(self) -> list[TrialRecord]:
-        self.torn_lines = 0
-        found = []
-        with open(self.index_path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    found.append(TrialRecord.from_dict(json.loads(line)))
-                except ValueError:
-                    self.torn_lines += 1
-                    continue
-        return found

@@ -9,9 +9,9 @@ JSONL on every request.
 
 Incrementality is the point: the tailer remembers, per campaign, the
 byte offset of the last fully indexed line (persisted in SQLite itself),
-so one :meth:`ResultIndex.index_store` call costs the appended delta.
-Torn trailing lines are left pending, torn complete lines are counted
-and skipped — the same contract as every other log reader here.
+so one :meth:`ResultIndex.index_store` call costs the appended delta:
+an :class:`~repro.supervision.AppendLog` tail read, which leaves an
+unterminated trailing line pending and counts torn lines.
 
 Idempotence is the other point: trial rows upsert on
 ``(campaign_id, spec_hash)``, so a crash-recovery replay — which
@@ -29,8 +29,9 @@ import threading
 import time
 from typing import Optional
 
-from repro.campaign.store import ResultStore, TrialRecord
+from repro.campaign.store import INDEX_NAME, TrialRecord
 from repro.exceptions import ServiceError
+from repro.supervision import AppendLog
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -152,18 +153,17 @@ class ResultIndex:
         Maintains its own byte offset (persisted, so a restarted service
         picks up where it stopped); upserts make replays idempotent.
         """
-        store = ResultStore(directory)
+        log = AppendLog(os.path.join(str(directory), INDEX_NAME))
         with self._lock:
             row = self._db.execute(
                 "SELECT offset, torn_lines FROM offsets WHERE campaign_id = ?",
                 (campaign_id,),
             ).fetchone()
-        if row is not None:
-            store._poll_offset = int(row["offset"])
-            store.torn_lines = int(row["torn_lines"])
-        fresh = store.poll_records()
-        if not fresh and row is not None and store.torn_lines == row["torn_lines"]:
+        offset, torn = (row["offset"], row["torn_lines"]) if row else (0, 0)
+        entries, end, new_torn = log.read(offset, tail=True)
+        if row is not None and end == offset:
             return []
+        fresh = [TrialRecord.from_dict(entry) for entry in entries]
         with self._lock:
             for record in fresh:
                 self._upsert_trial(campaign_id, record)
@@ -173,10 +173,7 @@ class ResultIndex:
                 " ON CONFLICT(campaign_id) DO UPDATE SET"
                 " path=excluded.path, offset=excluded.offset,"
                 " torn_lines=excluded.torn_lines, indexed_at=excluded.indexed_at",
-                (
-                    campaign_id, store.index_path, store._poll_offset,
-                    store.torn_lines, time.time(),
-                ),
+                (campaign_id, log.path, end, torn + new_torn, time.time()),
             )
             self._db.commit()
         return fresh

@@ -28,7 +28,6 @@ without sleeping.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.exceptions import ServiceError
-from repro.supervision import CancelToken, durable_append
+from repro.supervision import AppendLog, CancelToken
 
 JOBS_NAME = "jobs.jsonl"
 
@@ -246,16 +245,16 @@ class JobJournal:
         {"op": "state", "id": ..., "state": ..., "error": ...,
          "result": {...}, "at": ...}
 
-    Append-only and torn-line tolerant, like every other durable log in
-    the system.  :meth:`replay` folds the log into the last known state
-    per job — the service's restart contract.
+    An :class:`~repro.supervision.AppendLog`, like every durable log
+    here.  :meth:`replay` folds it into the last known state per job —
+    the service's restart contract.
     """
 
     def __init__(self, directory: str | os.PathLike,
                  clock: Callable[[], float] = time.time):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._lock = threading.Lock()
+        self.log = AppendLog(self.path)
         self._clock = clock
         self.torn_lines = 0
 
@@ -265,9 +264,7 @@ class JobJournal:
 
     def _append(self, entry: dict) -> None:
         entry.setdefault("at", self._clock())
-        line = json.dumps(entry, sort_keys=True, default=str)
-        with self._lock:
-            durable_append(self.path, line)
+        self.log.append(entry)
 
     # -- writes --------------------------------------------------------------
     def submit(self, job: Job) -> None:
@@ -305,24 +302,9 @@ class JobJournal:
         (or never started) — the service re-enqueues them on restart and
         the campaign layer resumes exactly the unfinished delta.
         """
-        self.torn_lines = 0
-        if not os.path.exists(self.path):
-            return []
+        entries, _, self.torn_lines = self.log.read()
         jobs: dict[str, Job] = {}
-        with self._lock:
-            with open(self.path) as handle:
-                lines = handle.readlines()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                self.torn_lines += 1
-                continue
-            if not isinstance(entry, dict):
-                continue
+        for entry in entries:
             job_id = str(entry.get("id", ""))
             if entry.get("op") == "submit" and job_id:
                 jobs[job_id] = Job(

@@ -2,9 +2,9 @@
 
 Deadlines and cooperative cancellation (:mod:`budget`), ambient
 checkpoints (:mod:`context`), deadline- and stall-bounded calls
-(:mod:`watchdog`), the crash-safe write-ahead trial journal and its
-durable append/replace writes (:mod:`journal`), and circuit breakers
-(:mod:`breaker`).
+(:mod:`watchdog`), the crash-safe write-ahead trial journal and
+:class:`AppendLog`, the one durable log format (:mod:`journal`), and
+circuit breakers (:mod:`breaker`).
 """
 
 from repro.supervision.breaker import (
@@ -29,6 +29,7 @@ from repro.supervision.journal import (
     OP_CHECKPOINT,
     OP_FINISH,
     OP_START,
+    AppendLog,
     JournalEntry,
     TrialJournal,
     durable_append,
@@ -48,6 +49,7 @@ __all__ = [
     "supervised",
     "supervised_call",
     "run_with_deadline",
+    "AppendLog",
     "TrialJournal",
     "JournalEntry",
     "JOURNAL_NAME",

@@ -13,13 +13,12 @@ That ordering is the recovery contract::
 * SIGKILL before the index append: the trial has a ``start`` with no
   ``finish`` — :meth:`recover` reports it as *interrupted* and the
   runner re-executes it from its content hash.  Nothing is lost.
-* SIGKILL between index append and ``finish``: recovery re-executes a
-  trial whose record already landed; the re-run appends a superseding
-  record with identical content (trials are deterministic), so readers
-  — which keep the last record per hash — see no difference.  Nothing
-  is duplicated in the authoritative view.
-* A torn trailing line (the write itself was interrupted) is skipped
-  and counted, exactly like the index and the perf-baseline store.
+* SIGKILL between index append and ``finish``: the runner finds the
+  landed record and just closes the intent; the trial does not
+  re-execute.  Nothing is duplicated.
+* A torn line (the write itself was interrupted) is skipped and
+  counted: the journal, the campaign index and the service's job
+  journal are all one :class:`AppendLog` format.
 
 The journal is append-only and self-compacting on recovery: once the
 open intents have been reported, :meth:`recover` rewrites the file to
@@ -34,8 +33,8 @@ import os
 import threading
 import time
 import uuid
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional
 
 JOURNAL_NAME = "journal.jsonl"
 
@@ -56,14 +55,7 @@ class JournalEntry:
     at: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "spec_hash": self.spec_hash,
-            "trial_id": self.trial_id,
-            "status": self.status,
-            "reason": self.reason,
-            "at": self.at,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "JournalEntry":
@@ -94,6 +86,70 @@ def durable_append(path: str, line: str) -> None:
         handle.write(line.encode() + b"\n")
         handle.flush()
         os.fsync(handle.fileno())
+
+
+class AppendLog:
+    """The one durable-log format: fsync'd JSONL, one JSON object a line.
+
+    The campaign index, the trial journal and the service's job journal
+    all write and read through it.  A *torn* line is any line that is
+    not a UTF-8 JSON object (a crash cut it short, or it is garbage):
+    :meth:`read` skips and counts it, never raises.  The lock
+    serialises this process's writers; :func:`durable_append` makes a
+    torn tail a line of its own on the next append.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = str(path)
+        self._lock = threading.Lock()
+
+    def append(self, entry: dict) -> None:
+        line = json.dumps(entry, sort_keys=True, default=str)
+        with self._lock:
+            durable_append(self.path, line)
+
+    def replace(self, entries: Iterable[dict]) -> None:
+        """Atomically rewrite the log to just ``entries`` (compaction)."""
+        text = "".join(
+            json.dumps(entry, sort_keys=True, default=str) + "\n" for entry in entries
+        )
+        with self._lock:
+            durable_replace(self.path, text)
+
+    def read(self, offset: int = 0, tail: bool = False) -> tuple[list[dict], int, int]:
+        """``(entries, end_offset, torn)`` for the log from byte ``offset``.
+
+        A full read consumes a trailing line that has no newline (torn
+        if it does not parse); a ``tail`` read, which a poller resumes
+        from ``end_offset``, leaves it pending until its writer ends it.
+        A log shorter than ``offset`` was replaced and is read from the
+        top, so ``end_offset < offset`` says so.  A missing log is empty.
+        """
+        with self._lock:
+            try:
+                with open(self.path, "rb") as handle:
+                    if os.fstat(handle.fileno()).st_size < offset:
+                        offset = 0
+                    handle.seek(offset)
+                    chunk = handle.read()
+            except FileNotFoundError:
+                return [], 0, 0
+        if tail:
+            chunk = chunk[:chunk.rfind(b"\n") + 1]
+        entries: list[dict] = []
+        torn = 0
+        for line in chunk.split(b"\n"):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line.decode())
+            except ValueError:  # UnicodeDecodeError is a ValueError
+                entry = None
+            if isinstance(entry, dict):
+                entries.append(entry)
+            else:
+                torn += 1
+        return entries, offset + len(chunk), torn
 
 
 def durable_replace(path: str, text: str) -> None:
@@ -127,7 +183,7 @@ class TrialJournal:
     def __init__(self, directory: str | os.PathLike):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self._lock = threading.Lock()
+        self.log = AppendLog(self.path)
         #: torn lines skipped by the last read (crash forensics)
         self.torn_lines = 0
 
@@ -138,9 +194,7 @@ class TrialJournal:
     # -- writes --------------------------------------------------------------
     def _append(self, entry: JournalEntry) -> None:
         entry.at = entry.at or time.time()
-        line = json.dumps(entry.to_dict(), sort_keys=True)
-        with self._lock:
-            durable_append(self.path, line)
+        self.log.append(entry.to_dict())
 
     def start(self, trial_id: str, spec_hash: str) -> None:
         """Journal the intent to execute a trial — call *before* submit."""
@@ -161,25 +215,8 @@ class TrialJournal:
     # -- reads ---------------------------------------------------------------
     def entries(self) -> list[JournalEntry]:
         """Every parseable entry in append order; torn lines counted."""
-        self.torn_lines = 0
-        if not os.path.exists(self.path):
-            return []
-        found: list[JournalEntry] = []
-        with self._lock:
-            with open(self.path) as handle:
-                lines = handle.readlines()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                self.torn_lines += 1
-                continue
-            if isinstance(data, dict):
-                found.append(JournalEntry.from_dict(data))
-        return found
+        found, _, self.torn_lines = self.log.read()
+        return [JournalEntry.from_dict(data) for data in found]
 
     def open_intents(self) -> dict[str, JournalEntry]:
         """``{spec_hash: start entry}`` for starts without a finish."""
@@ -205,15 +242,10 @@ class TrialJournal:
         The compaction rewrite is atomic (:func:`durable_replace`) so a
         crash *during recovery* still leaves a valid journal.
         """
-        open_entries = self.open_intents()
-        with self._lock:
-            if not os.path.exists(self.path):
-                return []
-            durable_replace(self.path, "".join(
-                json.dumps(entry.to_dict(), sort_keys=True) + "\n"
-                for entry in open_entries.values()
-            ))
-        return list(open_entries.values())
+        open_entries = list(self.open_intents().values())
+        if os.path.exists(self.path):
+            self.log.replace(entry.to_dict() for entry in open_entries)
+        return open_entries
 
     def __repr__(self) -> str:
         return "TrialJournal(%r)" % self.path
