@@ -14,12 +14,10 @@ stanzas the templates consume: ``ospf``, ``bgp``, ``isis``, ``dns``,
 
 from __future__ import annotations
 
-import sys
-
 from repro.anm import AbstractNetworkModel
 from repro.design.ip_addressing import domain_between, interface_address
 from repro.exceptions import CompilerError
-from repro.nidb import DeviceModel, Nidb
+from repro.nidb import DeviceModel, Nidb, SharedStanza
 
 DEFAULT_ZEBRA_PASSWORD = "1234"
 
@@ -47,6 +45,12 @@ class RouterCompiler(DeviceCompiler):
     """The generic router compiler (§5.4)."""
 
     syntax = "generic"
+
+    def __init__(self, anm: AbstractNetworkModel, nidb: Nidb):
+        super().__init__(anm, nidb)
+        #: (peer, ASN, next-hop-self, session type, cluster id) -> the
+        #: one read-only iBGP record every device with that key holds.
+        self._ibgp_records: dict[tuple, SharedStanza] = {}
 
     def compile(self, phy_node, device: DeviceModel) -> None:
         """Condense every routing/service overlay into device stanzas."""
@@ -184,45 +188,49 @@ class RouterCompiler(DeviceCompiler):
             )
         return neighbors
 
-    def _ibgp_neighbors(self, phy_node, device, g_ibgp, g_ip) -> list[dict]:
+    def _ibgp_neighbors(self, phy_node, device, g_ibgp, g_ip) -> list[SharedStanza]:
         if g_ibgp is None or g_ip is None or not g_ibgp.has_node(phy_node):
             return []
-        node = g_ibgp.node(phy_node)
+        # next-hop-self defaults on: iBGP-learned external routes must
+        # have an IGP-resolvable next hop, and inter-AS link subnets are
+        # not in the IGP.
+        nhs = phy_node.bgp_next_hop_self
+        next_hop_self = True if nhs is None else bool(nhs)
+        cluster_id = phy_node.rr_cluster if phy_node.rr else None
+        asn = device.asn
         neighbors = []
-        raw = g_ibgp._graph
         for _, neighbor_id, data in sorted(
-            raw.out_edges(phy_node.node_id, data=True), key=lambda item: str(item[1])
+            g_ibgp._graph.out_edges(phy_node.node_id, data=True), key=lambda item: str(item[1])
         ):
-            neighbor_loopback = g_ip.node(neighbor_id).loopback
-            if neighbor_loopback is None:
-                raise CompilerError(
-                    "iBGP neighbor %s has no loopback allocated" % (neighbor_id,)
-                )
-            # interned: a full mesh names every router once per other router
-            loopback = sys.intern(str(neighbor_loopback))
-            neighbors.append(
-                {
-                    "neighbor": str(neighbor_id),
-                    "neighbor_ip": loopback,
-                    "neighbor_loopback": loopback,
-                    "remote_asn": device.asn,
-                    "description": sys.intern("iBGP to %s" % (neighbor_id,)),
-                    "is_ebgp": False,
-                    "update_source": "lo0",
-                    # next-hop-self defaults on: iBGP-learned external
-                    # routes must have an IGP-resolvable next hop, and
-                    # inter-AS link subnets are not in the IGP.
-                    "next_hop_self": (
-                        True
-                        if phy_node.bgp_next_hop_self is None
-                        else bool(phy_node.bgp_next_hop_self)
-                    ),
-                    "rr_client": data.get("session_type") == "down",
-                    "session_type": data.get("session_type", "peer"),
-                    "cluster_id": phy_node.rr_cluster if phy_node.rr else None,
-                }
-            )
+            session_type = data.get("session_type", "peer")
+            key = (neighbor_id, asn, next_hop_self, session_type, cluster_id)
+            record = self._ibgp_records.get(key)
+            if record is None:
+                record = self._ibgp_records[key] = self._ibgp_record(g_ip, *key)
+            neighbors.append(record)
         return neighbors
+
+    def _ibgp_record(
+        self, g_ip, neighbor_id, asn, next_hop_self, session_type, cluster_id
+    ) -> SharedStanza:
+        """The one iBGP neighbour record for a key of ``_ibgp_records``."""
+        loopback = g_ip.node(neighbor_id).loopback
+        if loopback is None:
+            raise CompilerError("iBGP neighbor %s has no loopback allocated" % (neighbor_id,))
+        address = str(loopback)
+        return SharedStanza(
+            neighbor=str(neighbor_id),
+            neighbor_ip=address,
+            neighbor_loopback=address,
+            remote_asn=asn,
+            description="iBGP to %s" % (neighbor_id,),
+            is_ebgp=False,
+            update_source="lo0",
+            next_hop_self=next_hop_self,
+            rr_client=session_type == "down",
+            session_type=session_type,
+            cluster_id=cluster_id,
+        )
 
     def dns(self, phy_node, device: DeviceModel) -> None:
         g_dns = self.overlay("dns")

@@ -42,7 +42,6 @@ class PlatformCompiler:
     def __init__(self, anm: AbstractNetworkModel, host: str = "localhost"):
         self.anm = anm
         self.host = host
-        self._device_compilers: dict[str, DeviceCompiler] = {}
 
     # -- hooks for subclasses -------------------------------------------------
     def interface_names(self) -> Iterator[str]:
@@ -61,16 +60,13 @@ class PlatformCompiler:
         return hostname or "device"
 
     def device_compiler_for(self, syntax: str) -> DeviceCompiler:
-        """The device compiler for a syntax, cached per platform run."""
-        if syntax not in self._device_compilers:
-            compiler_cls = self.syntax_compilers().get(syntax)
-            if compiler_cls is None:
-                raise CompilerError(
-                    "platform %r does not support device syntax %r"
-                    % (self.platform, syntax)
-                )
-            self._device_compilers[syntax] = compiler_cls(self.anm, self.nidb)
-        return self._device_compilers[syntax]
+        """A new device compiler for a syntax over the NIDB being compiled."""
+        compiler_cls = self.syntax_compilers().get(syntax)
+        if compiler_cls is None:
+            raise CompilerError(
+                "platform %r does not support device syntax %r" % (self.platform, syntax)
+            )
+        return compiler_cls(self.anm, self.nidb)
 
     def syntax_compilers(self) -> dict[str, type]:
         """Mapping of device syntax name to compiler class."""
@@ -126,18 +122,23 @@ class PlatformCompiler:
             device.tap = {"ip": str(next(tap_hosts))}
             self.allocate_interfaces(phy_node, device, g_phy, g_ip)
 
+        # one compiler per syntax, and so one table of shared records,
+        # per call: both die with it and never see another call's NIDB
+        compilers: dict[str, DeviceCompiler] = {}
         for phy_node in machines:
             device = self.nidb.node(phy_node)
             syntax = device.syntax
             if device.device_type == "server":
                 syntax = "linux"
+            if syntax not in compilers:
+                compilers[syntax] = self.device_compiler_for(syntax)
             with span(
                 "compile.%s" % device.hostname,
                 device=str(phy_node.node_id),
                 syntax=syntax,
                 platform=self.platform,
             ):
-                self.device_compiler_for(syntax).compile(phy_node, device)
+                compilers[syntax].compile(phy_node, device)
                 self.render_device(device)
             metric_inc("compile.devices_compiled")
 

@@ -25,7 +25,8 @@ export->import pipeline reads: for iBGP the sender side's
 ``next-hop-self`` and ``route-reflector-client`` flags and the receiver
 side's ``route-reflector-client`` flag and peer address; an eBGP session
 is a group of one (its outcome depends on the session's own addresses
-and policy).  The pipeline (export check, export, import policy,
+and policy, and on which of the receiver's parallel sessions to the
+sender wins).  The pipeline (export check, export, import policy,
 interning) runs once per (sender, route, group) and is memoised; each
 member peer then costs only the two loop checks — never back to the
 peer the route was learned from, never back to its originator — and
@@ -259,7 +260,9 @@ class BgpSimulation:
         self._route_pool: dict[BgpRoute, BgpRoute] = {}
         #: Memo for the export->import pipeline, keyed (sender,
         #: update-group key, route); an eBGP group's key holds the
-        #: session address.  Survives ``rebuild`` across fault cycles (faults
+        #: session address and the receiver's peer address for the
+        #: sender (the last of its parallel sessions that is still
+        #: up).  Survives ``rebuild`` across fault cycles (faults
         #: change topology, never config), but entries touching a
         #: machine whose BGP-relevant config changed — a live update
         #: moving a loopback, router-id, or session policy — are
@@ -510,12 +513,14 @@ class BgpSimulation:
                 seen = set()
             seen.add(session.peer)
             intent = session.intent
+            receiving = self._intent_of[session.peer][sender]
             if session.is_ebgp:
-                # The session address joins the key as text: it is the
-                # pipeline's one input a fault can move.
-                receiver, flags, address = session.peer, (str(session.address),), intent.peer_ip
+                # The session address and the receiver's intent (the last
+                # of its parallel sessions to the sender) join the key as
+                # text: they are the pipeline's inputs a fault can move.
+                flags = (str(session.address), str(receiving.peer_ip))
+                receiver, address = session.peer, intent.peer_ip
             else:
-                receiving = self._intent_of[session.peer][sender]
                 receiver = None
                 flags = (intent.next_hop_self, intent.rr_client, receiving.rr_client)
                 address = receiving.peer_ip
@@ -665,11 +670,13 @@ class BgpSimulation:
         For a route the group's export policy lets out: the route every
         member peer stores (subject to its own two loop checks), or
         ``None`` when the receiver's import policy rejects it.
-        Given the eBGP session address (the only network-dependent
-        input — everything else is config values that survive topology
-        deltas — and part of an eBGP group's key), the outcome is a pure
-        function of (sender, group key, route), so a fault cycle that revisits earlier selections skips
-        the policy evaluation and route construction entirely.
+        Given the eBGP session address and the receiving intent (the
+        network-dependent inputs — a fault can move the address or kill
+        the parallel session whose intent won — everything else is
+        config values that survive topology deltas; both are in an eBGP
+        group's key), the outcome is a pure function of (sender, group
+        key, route), so a fault cycle that revisits earlier selections
+        skips the policy evaluation and route construction entirely.
         """
         session = group.session
         key = (sender, group.key, route)

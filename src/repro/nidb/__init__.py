@@ -4,6 +4,7 @@ from repro.nidb.database import (
     ConfigStanza,
     DeviceModel,
     Nidb,
+    SharedStanza,
     changed_devices,
     stable_hash,
     subnet_items,
@@ -16,6 +17,7 @@ __all__ = [
     "DeviceModel",
     "Nidb",
     "NidbDiff",
+    "SharedStanza",
     "changed_devices",
     "diff_nidbs",
     "stable_hash",

@@ -115,10 +115,25 @@ class ConfigStanza:
         return json.dumps(self.to_dict(), default=str, **kwargs)
 
     def __repr__(self) -> str:
-        return "ConfigStanza(%s)" % ", ".join(sorted(self.__dict__))
+        return "%s(%s)" % (type(self).__name__, ", ".join(sorted(self.__dict__)))
 
 
 ConfigStanza._RESERVED = frozenset(dir(ConfigStanza))
+
+
+class SharedStanza(ConfigStanza):
+    """A read-only stanza that many devices hold as the same object.
+
+    A compiled iBGP neighbour record depends only on the peer and the
+    session's settings, so every device peering with one router holds
+    one record for it.  A write would change every holder, so it raises;
+    to change one device's session, give it a plain copy of the record.
+    """
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise CompilerError("shared stanza field %r is read-only" % (name,))
+
+    __delattr__ = __setattr__
 
 
 def _refuse_reserved(cls: type, names: Iterable) -> None:

@@ -28,6 +28,7 @@ from repro.supervision.journal import (
     JOURNAL_NAME,
     OP_CHECKPOINT,
     OP_FINISH,
+    OP_RECOVER,
     OP_START,
     AppendLog,
     JournalEntry,
@@ -58,6 +59,7 @@ __all__ = [
     "OP_START",
     "OP_FINISH",
     "OP_CHECKPOINT",
+    "OP_RECOVER",
     "CircuitBreaker",
     "BreakerRegistry",
     "CLOSED",

@@ -23,7 +23,9 @@ That ordering is the recovery contract::
 The journal is append-only and self-compacting on recovery: once the
 open intents have been reported, :meth:`recover` rewrites the file to
 just those still-open entries, so it stays proportional to in-flight
-work, not campaign history.
+work, not campaign history.  The torn lines it drops stay counted: a
+``recover`` line carries their number forward, so ``torn_lines`` (and
+``campaign status``) still shows that a run stopped uncleanly.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ JOURNAL_NAME = "journal.jsonl"
 OP_START = "start"
 OP_FINISH = "finish"
 OP_CHECKPOINT = "checkpoint"
+OP_RECOVER = "recover"
 
 
 @dataclass
@@ -53,6 +56,7 @@ class JournalEntry:
     status: str = ""          # on finish: ok | failed | timed_out
     reason: str = ""          # on checkpoint: interrupt | sigterm | ...
     at: float = 0.0
+    torn: int = 0             # on recover: torn lines compacted away
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -66,6 +70,7 @@ class JournalEntry:
             status=data.get("status", ""),
             reason=data.get("reason", ""),
             at=data.get("at", 0.0),
+            torn=data.get("torn", 0),
         )
 
 
@@ -184,7 +189,8 @@ class TrialJournal:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.log = AppendLog(self.path)
-        #: torn lines skipped by the last read (crash forensics)
+        #: torn lines the last read skipped, plus those earlier
+        #: recoveries compacted away (crash forensics)
         self.torn_lines = 0
 
     @property
@@ -215,8 +221,10 @@ class TrialJournal:
     # -- reads ---------------------------------------------------------------
     def entries(self) -> list[JournalEntry]:
         """Every parseable entry in append order; torn lines counted."""
-        found, _, self.torn_lines = self.log.read()
-        return [JournalEntry.from_dict(data) for data in found]
+        found, _, torn = self.log.read()
+        entries = [JournalEntry.from_dict(data) for data in found]
+        self.torn_lines = torn + sum(entry.torn for entry in entries)
+        return entries
 
     def open_intents(self) -> dict[str, JournalEntry]:
         """``{spec_hash: start entry}`` for starts without a finish."""
@@ -244,7 +252,11 @@ class TrialJournal:
         """
         open_entries = list(self.open_intents().values())
         if os.path.exists(self.path):
-            self.log.replace(entry.to_dict() for entry in open_entries)
+            kept = [entry.to_dict() for entry in open_entries]
+            if self.torn_lines:
+                marker = JournalEntry(OP_RECOVER, at=time.time(), torn=self.torn_lines)
+                kept.insert(0, marker.to_dict())
+            self.log.replace(kept)
         return open_entries
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.campaign import ResultStore
+from repro.campaign import ResultStore, run_campaign
 from repro.cli import main
 
 SPEC = {
@@ -201,3 +201,16 @@ def test_run_on_a_directory_is_rejected(spec_file, campaign_dir, capsys):
                  "--quiet"]) == 0
     assert main(["campaign", "run", campaign_dir]) == 2
     assert "directory" in capsys.readouterr().err
+
+
+def test_status_counts_torn_journal_lines_after_a_resume(spec_file, campaign_dir, capsys):
+    """A resuming run compacts the journal; the torn line it held must
+    still show in ``campaign status``."""
+    assert main(["campaign", "run", spec_file, "-o", campaign_dir, "--limit", "1", "--quiet"]) == 0
+    with open("%s/journal.jsonl" % campaign_dir, "ab") as handle:
+        handle.write(b'\xff\xfe{"cut')
+    run_campaign(spec_file, directory=campaign_dir)
+    capsys.readouterr()
+    assert main(["campaign", "status", spec_file, "-o", campaign_dir, "--json"]) == 0
+    health = json.loads(capsys.readouterr().out)["health"]
+    assert health["torn_journal_lines"] >= 1, health

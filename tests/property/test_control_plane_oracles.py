@@ -176,6 +176,10 @@ def cases(draw):
     )
 
 
+_DUAL_HOMED_CASE = build_case(
+    ["quagga"] * 3, [(0, 1, False, False, False)], [(0, None, False), (0, None, False)],
+    fault=(3, "both"),
+)
 _FULL_MESH = [(0, 1, False, False, False), (0, 2, False, False, False), (1, 2, False, False, False)]
 
 
@@ -259,6 +263,9 @@ def _assert_steps_agree(simulation) -> None:
         fault=(2, "both"), ipv6_at_core=True,
     )
 )
+# x00 is dual-homed to c00 over cd10 and cd11; cd11 fails at both ends,
+# so each side's last parallel session to the other is now the cd10 one.
+@example(case=_DUAL_HOMED_CASE)
 def test_engine_equals_its_oracles(case):
     lab, down = case
     engine, engine_tables, simulation, engine_metrics = _converge(lab, down)
@@ -273,3 +280,19 @@ def test_engine_equals_its_oracles(case):
     for mine, theirs in zip(engine, rounds):
         _assert_same(mine, theirs)
     _assert_steps_agree(simulation)
+
+
+def test_resume_after_parallel_session_dies_equals_fresh_boot():
+    """The advert memo survives the fault; the routes it hands out must
+    carry the surviving session's peer address, as a fresh boot does."""
+    lab, down = _DUAL_HOMED_CASE
+    engine, _, _, _ = _converge(lab, down)
+    network = EmulatedNetwork(lab, disabled_attachments=down)
+    fresh = BgpSimulation(network, IgpState(network)).run(max_rounds=MAX_ROUNDS)
+    assert engine[-1].selected == fresh.selected
+    assert {
+        str(route.peer_address)
+        for name in ("c00", "x00")
+        for route in engine[-1].selected[name].values()
+        if route.learned_via == "ebgp"
+    } == {"10.0.0.41", "10.0.0.42"}

@@ -3,7 +3,7 @@
 import json
 import os
 
-from repro.supervision import JOURNAL_NAME, OP_CHECKPOINT, OP_START, TrialJournal
+from repro.supervision import JOURNAL_NAME, OP_CHECKPOINT, OP_RECOVER, OP_START, TrialJournal
 
 
 def test_start_without_finish_is_an_open_intent(tmp_path):
@@ -95,3 +95,20 @@ def test_restart_is_a_finish_then_start_cycle(tmp_path):
     journal.start("t1", "hash1")                  # the re-execution
     journal.finish("t1", "hash1", "ok")
     assert journal.open_intents() == {}
+
+
+def test_recover_keeps_torn_lines_counted(tmp_path):
+    """Compaction drops a torn line; a ``recover`` line keeps it counted,
+    through later recoveries too, so status still sees the unclean stop."""
+    journal = TrialJournal(tmp_path)
+    journal.start("t1", "hash1")
+    with open(journal.path, "ab") as handle:
+        handle.write(b'\xff\xfe{"cut')
+    assert [e.trial_id for e in journal.recover()] == ["t1"]
+    journal.finish("t1", "hash1", "ok")
+    assert journal.recover() == []
+    fresh = TrialJournal(tmp_path)
+    assert [entry.op for entry in fresh.entries()] == [OP_RECOVER]
+    assert fresh.torn_lines == 1
+    assert fresh.open_intents() == {}
+    assert fresh.last_checkpoint() is None

@@ -57,8 +57,11 @@ def test_non_reciprocal_session_warned(nidb):
 
 
 def test_missing_next_hop_self_warned(nidb):
-    for session in nidb.node("as100r1").bgp.ibgp_neighbors:
-        session.next_hop_self = False
+    # compiled iBGP records are shared read-only: give as100r1 its own
+    bgp = nidb.node("as100r1").bgp
+    bgp.ibgp_neighbors = [
+        dict(session.to_dict(), next_hop_self=False) for session in bgp.ibgp_neighbors
+    ]
     report = verify_nidb(nidb)
     assert any(f.check == "ibgp-next-hop" for f in report.warnings)
     # warnings alone don't fail verification
