@@ -193,16 +193,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_observability_options(parser)
 
 
-def _add_emulation_options(sub: argparse.ArgumentParser) -> None:
-    """Boot knobs shared by the deploy-family commands."""
-    emulation = sub.add_argument_group("emulation")
-    emulation.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="fan config parsing and per-VM bring-up over N workers "
-        "(default 1: serial)",
-    )
-
-
 # -- per-subcommand extras ---------------------------------------------------
 def _add_build_options(sub: argparse.ArgumentParser) -> None:
     engine_group = sub.add_argument_group("build engine")
@@ -463,7 +453,6 @@ def _add_traffic_options(sub: argparse.ArgumentParser) -> None:
         help="busiest links to show/emit (default 10)",
     )
     _add_resilience_options(sub)
-    _add_emulation_options(sub)
     _add_observability_options(sub, include_profiler=False)
 
 
@@ -557,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
             add_options(sub)
             continue
         _add_common(sub)
-        if name in ("deploy", "measure", "whatif", "chaos", "apply"):
-            _add_emulation_options(sub)
         if add_options is not None:
             add_options(sub)
     return parser
@@ -773,6 +760,37 @@ def _built(args):
     return anm, nidb, result
 
 
+def _deployed(args, monitor=None):
+    """Build, then deploy the rendered lab: ``(anm, nidb, lab)``."""
+    from repro.deployment import deploy
+    from repro.observability import span
+
+    anm, nidb, result = _built(args)
+    with span("deploy"):
+        record = deploy(
+            result.lab_dir,
+            monitor=monitor,
+            retry_policy=_retry_policy(args),
+            strict=args.strict,
+        )
+    return anm, nidb, record.lab
+
+
+def _fault_schedule(args):
+    """``--schedule`` plus the inline ``--event`` lines; None when neither is given."""
+    from repro.resilience import FaultSchedule
+
+    if not args.schedule and not args.event:
+        return None
+    schedule = FaultSchedule()
+    if args.schedule:
+        schedule = FaultSchedule.load(args.schedule)
+    if args.event:
+        inline = FaultSchedule.parse("\n".join(args.event))
+        schedule = FaultSchedule(list(schedule) + list(inline))
+    return schedule
+
+
 def _cmd_info(args, out: CliOutput) -> int:
     from repro.visualization import overlay_summary
 
@@ -875,20 +893,9 @@ def _cmd_verify(args, out: CliOutput) -> int:
 
 
 def _cmd_deploy(args, out: CliOutput) -> int:
-    from repro.deployment import ProgressMonitor, deploy
-    from repro.observability import span
+    from repro.deployment import ProgressMonitor
 
-    _, _, result = _built(args)
-    monitor = ProgressMonitor(callbacks=[out.progress])
-    with span("deploy"):
-        record = deploy(
-            result.lab_dir,
-            monitor=monitor,
-            retry_policy=_retry_policy(args),
-            strict=args.strict,
-            jobs=args.jobs,
-        )
-    lab = record.lab
+    _, _, lab = _deployed(args, ProgressMonitor(callbacks=[out.progress]))
     status = (
         "converged"
         if lab.converged
@@ -913,19 +920,11 @@ def _cmd_deploy(args, out: CliOutput) -> int:
 
 
 def _cmd_measure(args, out: CliOutput) -> int:
-    from repro.deployment import deploy
     from repro.measurement import MeasurementClient
     from repro.observability import span
 
-    anm, nidb, result = _built(args)
-    with span("deploy"):
-        record = deploy(
-            result.lab_dir,
-            retry_policy=_retry_policy(args),
-            strict=args.strict,
-            jobs=args.jobs,
-        )
-    client = MeasurementClient(record.lab, nidb, retry_policy=_retry_policy(args))
+    anm, nidb, lab = _deployed(args)
+    client = MeasurementClient(lab, nidb, retry_policy=_retry_policy(args))
     hosts = args.hosts or [str(device.node_id) for device in nidb.routers()]
     run = client.send(args.measure_command, hosts)
     measurements = []
@@ -973,7 +972,7 @@ def _cmd_measure(args, out: CliOutput) -> int:
 
         with span("traffic"):
             traffic_report = run_traffic(
-                record.lab,
+                lab,
                 coerce_profile(args.traffic_profile),
                 seed=args.traffic_seed,
                 link_overrides=link_overrides_from_anm(anm),
@@ -985,7 +984,6 @@ def _cmd_measure(args, out: CliOutput) -> int:
 
 
 def _cmd_whatif(args, out: CliOutput) -> int:
-    from repro.deployment import deploy
     from repro.emulation import (
         compare_reachability,
         fail_links,
@@ -997,14 +995,7 @@ def _cmd_whatif(args, out: CliOutput) -> int:
     if not args.fail_link and not args.fail_node:
         print("error: nothing to fail (use --fail-link / --fail-node)", file=sys.stderr)
         return 2
-    _, _, result = _built(args)
-    with span("deploy"):
-        lab = deploy(
-            result.lab_dir,
-            retry_policy=_retry_policy(args),
-            strict=args.strict,
-            jobs=args.jobs,
-        ).lab
+    _, _, lab = _deployed(args)
     with span("whatif.compare"):
         before = reachability_matrix(lab)
         degraded = lab
@@ -1031,30 +1022,16 @@ def _cmd_whatif(args, out: CliOutput) -> int:
 
 
 def _cmd_chaos(args, out: CliOutput) -> int:
-    from repro.deployment import deploy
-    from repro.observability import span
-    from repro.resilience import FaultSchedule, apply_schedule
+    from repro.resilience import apply_schedule
 
-    if not args.schedule and not args.event:
+    schedule = _fault_schedule(args)
+    if schedule is None:
         print(
             "error: nothing to inject (use --schedule and/or --event)",
             file=sys.stderr,
         )
         return 2
-    schedule = FaultSchedule()
-    if args.schedule:
-        schedule = FaultSchedule.load(args.schedule)
-    if args.event:
-        inline = FaultSchedule.parse("\n".join(args.event))
-        schedule = FaultSchedule(list(schedule) + list(inline))
-    _, _, result = _built(args)
-    with span("deploy"):
-        lab = deploy(
-            result.lab_dir,
-            retry_policy=_retry_policy(args),
-            strict=args.strict,
-            jobs=args.jobs,
-        ).lab
+    _, _, lab = _deployed(args)
     report = apply_schedule(lab, schedule)
     for line in report.summary().splitlines():
         out.emit(line)
@@ -1066,9 +1043,7 @@ def _cmd_chaos(args, out: CliOutput) -> int:
 
 
 def _cmd_traffic(args, out: CliOutput) -> int:
-    from repro.deployment import deploy
     from repro.observability import span
-    from repro.resilience import FaultSchedule
     from repro.traffic import (
         coerce_profile,
         link_overrides_from_anm,
@@ -1084,23 +1059,8 @@ def _cmd_traffic(args, out: CliOutput) -> int:
         out.result(profile=profile.to_dict())
         return 0
 
-    schedule = None
-    if args.schedule or args.event:
-        schedule = FaultSchedule()
-        if args.schedule:
-            schedule = FaultSchedule.load(args.schedule)
-        if args.event:
-            inline = FaultSchedule.parse("\n".join(args.event))
-            schedule = FaultSchedule(list(schedule) + list(inline))
-
-    anm, _, result = _built(args)
-    with span("deploy"):
-        lab = deploy(
-            result.lab_dir,
-            retry_policy=_retry_policy(args),
-            strict=args.strict,
-            jobs=args.jobs,
-        ).lab
+    schedule = _fault_schedule(args)
+    anm, _, lab = _deployed(args)
     out.emit(
         "lab up: %d machines; offering profile %r for %.1fs (seed %d)"
         % (len(lab.network), profile.name, profile.duration, args.seed),
@@ -1243,7 +1203,7 @@ def _cmd_apply(args, out: CliOutput) -> int:
     old_dir = delta.old_dir
     new_dir = delta.new_dir if args.verify or args.rollback else None
     with span("liveupdate.boot_source"):
-        lab = EmulatedLab.boot(old_dir, strict=args.strict, jobs=args.jobs)
+        lab = EmulatedLab.boot(old_dir, strict=args.strict)
     report = apply_plan(
         lab, plan,
         journal_dir=args.journal_dir,
@@ -1255,9 +1215,7 @@ def _cmd_apply(args, out: CliOutput) -> int:
     exit_code = 0
     if args.verify or args.rollback:
         with span("liveupdate.boot_oracle"):
-            fresh = EmulatedLab.boot(
-                new_dir, strict=args.strict, jobs=args.jobs
-            )
+            fresh = EmulatedLab.boot(new_dir, strict=args.strict)
         equivalence = verify_equivalence(lab, fresh)
         out.emit("verify: %s" % equivalence.summary())
         out.result(equivalent=equivalence.ok, mismatches=equivalence.mismatches)
@@ -1271,9 +1229,7 @@ def _cmd_apply(args, out: CliOutput) -> int:
         )
         out.emit("rollback: %s" % rollback_report.summary())
         with span("liveupdate.boot_original"):
-            original = EmulatedLab.boot(
-                old_dir, strict=args.strict, jobs=args.jobs
-            )
+            original = EmulatedLab.boot(old_dir, strict=args.strict)
         restored = verify_equivalence(lab, original)
         out.emit("rollback verify: %s" % restored.summary())
         out.result(rollback=rollback_report.to_dict(), restored=restored.ok)

@@ -82,14 +82,10 @@ class EmulatedLab:
         vendor_overrides: Optional[dict[str, str]] = None,
         keep_history: Optional[bool] = None,
         strict: bool = True,
-        jobs: int = 1,
     ):
         self.intent = intent
         self.max_rounds = max_rounds
         self.strict = strict
-        #: Fan-out width for per-VM bring-up (and, via :meth:`boot`,
-        #: config parsing); 1 is the serial reference path.
-        self.jobs = jobs
         self._vendor_overrides = vendor_overrides
         self._keep_history = keep_history
         #: Lab directory or archive booted from (None for intent-built labs).
@@ -134,11 +130,10 @@ class EmulatedLab:
         """Parse a rendered lab and bring the network up.
 
         ``source`` is the lab directory or a :class:`LabTree` (what
-        ``LocalEmulationHost.extract`` returns).  ``jobs`` fans per-machine
-        config parsing and per-VM bring-up over the engine's thread
-        executor; every width produces an identical lab — the
-        parallel-boot determinism tests pin that down.
+        ``LocalEmulationHost.extract`` returns).  ``jobs`` is accepted
+        for existing callers and ignored: the boot is one serial path.
         """
+        del jobs
         tree = LabTree.of(source)
         platform = platform or detect_platform(tree)
         logger.info("booting %s lab from %s", platform, tree.source)
@@ -146,15 +141,14 @@ class EmulatedLab:
             parser = LAB_PARSERS[platform]
         except KeyError:
             raise EmulationError("no parser for platform %r" % platform) from None
-        with span("emulation.parse", platform=platform, jobs=jobs):
-            intent = parser(tree, jobs=jobs)
+        with span("emulation.parse", platform=platform):
+            intent = parser(tree)
         lab = cls(
             intent,
             max_rounds=max_rounds,
             vendor_overrides=vendor_overrides,
             keep_history=keep_history,
             strict=strict,
-            jobs=jobs,
         )
         lab.source = tree.source
         return lab
@@ -243,34 +237,10 @@ class EmulatedLab:
             logger.warning("session: %s", warning)
         self.dataplane = Dataplane(self.network, self.igp, self.bgp_result)
         self.dns = DnsEngine(self.network)
-        self._vms = self._bring_up_vms()
+        self._vms = {
+            name: VirtualMachine(self, name) for name in sorted(self.network.machines)
+        }
         self._tap_map = self._build_tap_map()
-
-    def _bring_up_vms(self) -> dict[str, "VirtualMachine"]:
-        """Build the per-machine VM handles, fanned out when jobs > 1.
-
-        Handles are assembled in sorted machine order either way, so a
-        parallel bring-up yields a lab indistinguishable from a serial
-        one.
-        """
-        names = sorted(self.network.machines)
-        if self.jobs > 1 and len(names) > 1:
-            from repro.engine.executors import ThreadExecutor, run_calls
-
-            executor = ThreadExecutor(self.jobs)
-            try:
-                with span("emulation.vms", jobs=self.jobs, machines=len(names)):
-                    handles = run_calls(
-                        executor,
-                        [
-                            ("vm:%s" % name, lambda n: VirtualMachine(self, n), name)
-                            for name in names
-                        ],
-                    )
-            finally:
-                executor.shutdown()
-            return dict(zip(names, handles))
-        return {name: VirtualMachine(self, name) for name in names}
 
     # -- state ----------------------------------------------------------------
     @property
@@ -411,7 +381,6 @@ class EmulatedLab:
         clone.intent = self.intent
         clone.max_rounds = self.max_rounds
         clone.strict = self.strict
-        clone.jobs = self.jobs
         clone._vendor_overrides = self._vendor_overrides
         clone._keep_history = (
             self._keep_history if self._keep_history is not None else False

@@ -135,14 +135,8 @@ def _apply_domains(lab: LabIntent, domains: dict[str, int]) -> None:
             intent.ospf.interface_costs[interface.name] = interface.ospf_cost
 
 
-def parse_cbgp_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
-    """Parse a rendered C-BGP lab (network.cli), from a directory or a tree.
-
-    A C-BGP lab is one monolithic script, so there is no per-machine
-    work to fan out; ``jobs`` is accepted for interface parity with
-    the other platform parsers and ignored.
-    """
-    del jobs
+def parse_cbgp_lab(source: str | os.PathLike | LabTree) -> LabIntent:
+    """Parse a rendered C-BGP lab (network.cli), from a directory or a tree."""
     with LabTree.of(source) as tree:
         text = tree.read("network.cli")
     if text is None:

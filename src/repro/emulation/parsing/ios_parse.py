@@ -21,7 +21,7 @@ from repro.emulation.intent import (
     OspfIntent,
 )
 from repro.emulation.labtree import LabTree
-from repro.emulation.parsing.parallel import parse_config_dir
+from repro.emulation.parsing.config_dir import parse_config_dir
 from repro.exceptions import ConfigParseError
 
 
@@ -184,16 +184,11 @@ def _route_map_actions(text: str) -> dict[str, dict]:
     return actions
 
 
-def parse_dynagen_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
-    """Parse a rendered Dynagen lab: lab.net plus configs/*.cfg.
-
-    Per-router configs are independent; ``jobs > 1`` fans the parses
-    out over the engine's thread executor with results assembled in sorted
-    order, identical to a serial parse.
-    """
+def parse_dynagen_lab(source: str | os.PathLike | LabTree) -> LabIntent:
+    """Parse a rendered Dynagen lab: lab.net plus configs/*.cfg."""
     lab = LabIntent(platform="dynagen")
     with LabTree.of(source) as tree:
-        parse_config_dir(tree, lab, ".cfg", parse_ios_config, "ios", jobs=jobs)
+        parse_config_dir(tree, lab, ".cfg", parse_ios_config, "ios")
     return lab
 
 

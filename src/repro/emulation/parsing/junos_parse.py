@@ -21,7 +21,7 @@ from repro.emulation.intent import (
     OspfIntent,
 )
 from repro.emulation.labtree import LabTree
-from repro.emulation.parsing.parallel import parse_config_dir
+from repro.emulation.parsing.config_dir import parse_config_dir
 from repro.exceptions import ConfigParseError
 
 
@@ -297,17 +297,14 @@ def _policy_local_prefs(policy_options: dict) -> dict[str, int]:
     return prefs
 
 
-def parse_junosphere_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
+def parse_junosphere_lab(source: str | os.PathLike | LabTree) -> LabIntent:
     """Parse a rendered Junosphere lab: topology.vmm plus configs/.
 
-    Per-router configs are independent; ``jobs > 1`` fans the parses
-    out over the engine's thread executor with results assembled in sorted
-    order, identical to a serial parse.  The VMM wiring pass stays
-    serial — it is one small file applied after all devices exist.
+    The VMM wiring is applied after all devices exist.
     """
     lab = LabIntent(platform="junosphere")
     with LabTree.of(source) as tree:
-        parse_config_dir(tree, lab, ".conf", parse_junos_config, "junos", jobs=jobs)
+        parse_config_dir(tree, lab, ".conf", parse_junos_config, "junos")
         _apply_vmm_wiring(lab, tree.read("topology.vmm") or "")
     return lab
 

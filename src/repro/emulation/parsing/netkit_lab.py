@@ -21,7 +21,6 @@ from repro.emulation.intent import (
     LabIntent,
 )
 from repro.emulation.labtree import LabTree
-from repro.emulation.parsing.parallel import parse_machines
 from repro.emulation.parsing.quagga_parse import (
     intern_address,
     parse_bgpd,
@@ -163,16 +162,14 @@ def parse_rpki_conf(text: str) -> dict:
 def parse_netkit_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabIntent:
     """Parse a rendered Netkit lab (a directory or a :class:`LabTree`).
 
-    Each machine's files (startup + quagga + service trees) are
-    independent, so with ``jobs > 1`` the per-machine parses fan out
-    over the engine's thread executor; the devices dict is assembled in
-    sorted machine order either way, so the resulting intent is
-    identical to a serial parse.
+    Machines are parsed one after another, in sorted order.  ``jobs``
+    is accepted for existing callers and ignored.
 
     One intern table (address text to address object) lives for the
     whole parse: an interface address and every BGP ``peer_ip`` naming
     it are the same object, parsed once.
     """
+    del jobs
     with LabTree.of(source) as tree:
         text = tree.read("lab.conf")
         if text is None:
@@ -189,12 +186,8 @@ def parse_netkit_lab(source: str | os.PathLike | LabTree, jobs: int = 1) -> LabI
                 if entry.endswith(".startup")
             }
         )
-        for machine, device in parse_machines(
-            machines,
-            lambda machine: _parse_machine(tree, machine, wiring, addresses),
-            jobs=jobs,
-        ):
-            lab.devices[machine] = device
+        for machine in machines:
+            lab.devices[machine] = _parse_machine(tree, machine, wiring, addresses)
     return lab
 
 

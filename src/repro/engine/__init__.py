@@ -5,12 +5,10 @@ The compile→render half of the pipeline as one straight-line build
 content hash (:mod:`~repro.engine.hashing`, :mod:`~repro.engine.cache`);
 ``jobs>1`` renders the cache misses over a process pool.  Entry points:
 :class:`BuildEngine` for full builds and :func:`incremental_update` for
-change-driven rebuilds.  :mod:`~repro.engine.executors` holds the
-thread executor the lab boot fans config parsing and VM bring-up over.
+change-driven rebuilds.
 """
 
 from repro.engine.cache import Artifact, ArtifactCache, file_sha, text_sha
-from repro.engine.executors import ThreadExecutor
 from repro.engine.engine import (
     BuildEngine,
     BuildReport,
@@ -31,7 +29,6 @@ __all__ = [
     "BuildReport",
     "ENGINE_CACHE_VERSION",
     "TemplateHasher",
-    "ThreadExecutor",
     "device_cache_key",
     "file_sha",
     "graph_delta",

@@ -7,8 +7,8 @@ Two complementary collectors, both zero-dependency:
   of the hot-function table;
 * a **sampling** profiler — a daemon thread walking
   ``sys._current_frames()`` at a fixed interval, capturing whole stacks
-  across *every* thread (so work fanned out over the engine's thread
-  executors is visible).  Its aggregate is the collapsed-stack output
+  across *every* thread (so work on a supervised worker thread is
+  visible).  Its aggregate is the collapsed-stack output
   flamegraph tools consume (``frame;frame;frame count`` per line, the
   format of Brendan Gregg's ``flamegraph.pl`` and of speedscope).
 

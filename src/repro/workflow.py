@@ -130,16 +130,15 @@ def run_experiment(
 
     Passing a :class:`repro.engine.BuildEngine` routes the
     load/compile/render phases through the engine — its content-addressed
-    artifact cache and, with ``jobs>1``, its process-pool render — instead
-    of the plain path; the engine's own platform and rules settings
-    take precedence, and the phase spans (and therefore ``timings``)
-    keep the same names either way.
+    artifact cache and, at ``BuildEngine(jobs>1)``, its process-pool
+    render — instead of the plain path; the engine's own platform and
+    rules settings take precedence, and the phase spans (and therefore
+    ``timings``) keep the same names either way.
 
     ``strict=False`` boots the lab with failed-parse devices
     quarantined instead of aborting, and ``retry_policy`` retries
-    transient host errors during deployment.  ``jobs`` fans config
-    parsing and per-VM bring-up over the engine's thread executor; every width
-    boots an identical lab.
+    transient host errors during deployment.  ``jobs`` is accepted for
+    existing callers and ignored: the lab boots on one serial path.
 
     ``traffic_profile`` (a :class:`repro.traffic.TrafficProfile`, dict,
     JSON text, or file path) additionally offers that workload to the
@@ -149,6 +148,8 @@ def run_experiment(
     design layer's physical overlay shape the traffic link model.
     """
     import tempfile
+
+    del jobs
 
     telemetry = telemetry or current_telemetry() or Telemetry()
 
@@ -188,7 +189,6 @@ def run_experiment(
                         max_rounds=max_rounds,
                         strict=strict,
                         retry_policy=retry_policy or NO_RETRY,
-                        jobs=jobs,
                     )
                 if traffic_profile is not None:
                     from repro.traffic import (

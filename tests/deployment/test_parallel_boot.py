@@ -1,10 +1,9 @@
-"""Parallel boot determinism: ``jobs=N`` is indistinguishable from serial.
+"""Boot determinism across ``jobs``: ``jobs=N`` is indistinguishable from serial.
 
-``deploy(..., jobs=4)`` fans config parsing and VM bring-up over the
-engine executors; the resulting lab must be *identical* to a serial
-boot — same reachability, same per-router RIB dumps, same BGP outcome.
-These tests are the contract that lets ``--jobs`` default safely into
-campaign runs.
+``deploy(..., jobs=4)`` is still accepted and the boot stays one serial
+path; the resulting lab must be *identical* to a ``jobs=1`` boot — same
+reachability, same per-router RIB dumps, same BGP outcome.  These tests
+are the contract that lets callers keep passing ``--jobs``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from repro.supervision import TrialJournal
 from .conftest import EDITS, make_delta
 
 #: Spans that only a reboot path emits — the live path must emit none.
-REBOOT_SPANS = ("emulation.parse", "emulation.vms", "deployment.deploy")
+REBOOT_SPANS = ("emulation.parse", "deployment.deploy")
 
 
 @pytest.fixture(scope="module", params=sorted(EDITS))

@@ -4,7 +4,6 @@ import json
 import time
 from concurrent import futures
 
-from repro.engine import ThreadExecutor
 from repro.observability import (
     Telemetry,
     chrome_trace,
@@ -94,21 +93,14 @@ class TestExecutorSpanTrees:
     """Spans opened on executor workers must form correct trees."""
 
     def _run_on_threads(self, telemetry, jobs=4, tasks=8):
-        executor = ThreadExecutor(jobs=jobs)
-
         def task(index):
             with span("render.device", device=index):
                 time.sleep(0.002)
             return index
 
-        try:
+        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             with telemetry.span("engine.run"):
-                results = executor.run(
-                    [("t%d" % i, task, i) for i in range(tasks)]
-                )
-        finally:
-            executor.shutdown()
-        return results
+                return list(pool.map(task, range(tasks)))
 
     def test_thread_executor_parents_stay_on_thread(self):
         telemetry = Telemetry()

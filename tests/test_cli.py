@@ -368,3 +368,74 @@ class TestLiveUpdateCli:
         sink = open(tmp_path / "sink", "w")
         monkeypatch.setattr(_sys, "stdout", sink)
         assert main(["diff", "fig5", "fig5", "--plan"]) == 0
+
+
+# -- the option surface ------------------------------------------------------
+_OBSERVABILITY = {
+    "--trace", "--chrome-trace", "--profile", "--profile-interval",
+    "--metrics", "--timings", "--quiet", "--json",
+}
+_COMMON = _OBSERVABILITY | {
+    "-h", "--help", "--platform", "--rules", "-o", "--output",
+    "--strict", "--no-strict", "--retries", "--deadline",
+}
+_JOBS = {"-j", "--jobs"}
+
+#: Every subcommand's option strings.  Pinned as sets, not ``--help``
+#: text, which differs across Python versions.
+CLI_OPTIONS = {
+    "info": _COMMON,
+    "build": _COMMON | _JOBS | {"--cache-dir", "--no-cache", "--incremental"},
+    "verify": _COMMON,
+    "deploy": _COMMON,
+    "measure": _COMMON | {
+        "-c", "--command", "-H", "--hosts", "--traffic", "--traffic-seed",
+    },
+    "visualize": _COMMON | {"--overlay"},
+    "whatif": _COMMON | {"--fail-link", "--fail-node"},
+    "chaos": _COMMON | {"--schedule", "--event"},
+    "diff": _COMMON | {"--plan", "--plan-out"},
+    "apply": _COMMON | {
+        "--delta", "--live", "--verify", "--rollback", "--journal",
+        "--apply-deadline", "--plan-out",
+    },
+    "campaign": _OBSERVABILITY | _JOBS | {
+        "-h", "--help", "-o", "--campaign-dir", "--shard", "--cache-dir",
+        "--limit", "--retry-failed", "--trial-deadline", "--stall-after",
+        "--retries", "--strict", "--no-strict", "--format", "--baseline",
+    },
+    "traffic": (_COMMON - {"--profile", "--profile-interval"}) | {
+        "--topology", "--profile", "--seed", "--scale", "--schedule",
+        "--event", "--max-links",
+    },
+    "serve": _OBSERVABILITY | _JOBS | {
+        "-h", "--help", "--host", "--port", "--data-dir", "--db",
+        "--workers", "--quota", "--aging", "--trial-deadline", "--base-dir",
+    },
+}
+
+
+def _subcommand_options() -> dict:
+    import argparse
+
+    from repro.cli import build_parser
+
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: {option for action in sub._actions for option in action.option_strings}
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_every_subcommand_has_its_pinned_options():
+    assert _subcommand_options() == CLI_OPTIONS
+
+
+def test_jobs_only_on_the_pooled_commands():
+    with_jobs = {
+        name for name, options in _subcommand_options().items() if options & _JOBS
+    }
+    assert with_jobs == {"build", "campaign", "serve"}
